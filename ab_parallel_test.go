@@ -2,27 +2,34 @@ package gridrealloc_test
 
 // Determinism A/B for the parallel reallocation sweep: the same
 // 72-configuration grid as TestABDigest, replayed once with the per-cluster
-// fan-out forced off and once forced on for every sweep size. The two
-// digests must be bit-identical — the fan-out is a wall-clock optimisation
-// with an order-independent merge, never a behavioural change.
+// fan-out forced off and once forced on for every sweep size, through each
+// run's ReallocConfig.SweepWorkers and SweepThreshold. The two digests must
+// be bit-identical — the fan-out is a wall-clock optimisation with an
+// order-independent merge, never a behavioural change.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
-	gridrealloc "gridrealloc"
 	"gridrealloc/internal/core"
+	"gridrealloc/internal/scenario"
 )
 
 func TestABDigestParallelSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel determinism A/B replays 144 simulations")
 	}
-	digest := func(label string) string {
+	digest := func(label string, workers, threshold int) string {
 		h := sha256.New()
 		for _, cfg := range abConfigs() {
-			res, err := gridrealloc.RunScenario(cfg)
+			runCfg, err := scenario.BuildRunConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runCfg.Realloc.SweepWorkers = workers
+			runCfg.Realloc.SweepThreshold = threshold
+			res, err := core.Run(runCfg)
 			if err != nil {
 				t.Fatalf("%s %s/%s/%s/%s/%s: %v", label, cfg.Scenario, cfg.Heterogeneity, cfg.Policy, cfg.Algorithm, cfg.Heuristic, err)
 			}
@@ -30,15 +37,8 @@ func TestABDigestParallelSweep(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	core.SetSweepParallelism(1)
-	defer func() {
-		core.SetSweepParallelism(0)
-		core.SetSweepParallelThreshold(0)
-	}()
-	seq := digest("sequential")
-	core.SetSweepParallelism(8)
-	core.SetSweepParallelThreshold(1)
-	par := digest("parallel")
+	seq := digest("sequential", 1, 0)
+	par := digest("parallel", 8, 1)
 	if seq != par {
 		t.Fatalf("parallel sweep diverged from sequential:\nsequential %s\nparallel   %s", seq, par)
 	}

@@ -17,6 +17,7 @@ package gridrealloc_test
 // metric so regressions in behaviour (not only in speed) are visible.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -602,16 +603,11 @@ func BenchmarkReallocationPassDeepQueueParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			core.SetSweepParallelism(workers)
-			core.SetSweepParallelThreshold(1)
-			defer func() {
-				core.SetSweepParallelism(0)
-				core.SetSweepParallelThreshold(0)
-			}()
+			realloc := core.ReallocConfig{Algorithm: core.WithCancellation, Heuristic: core.MinMin(), SweepWorkers: workers, SweepThreshold: 1}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				servers := build()
-				agent, err := core.NewAgent(servers, core.MCTMapping(), core.ReallocConfig{Algorithm: core.WithCancellation, Heuristic: core.MinMin()})
+				agent, err := core.NewAgent(servers, core.MCTMapping(), realloc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1220,8 +1216,8 @@ func BenchmarkHarnessCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
 			start := nowSeconds()
 			for i := 0; i < b.N; i++ {
-				runner.Stream(seeds, runner.Options{Workers: workers},
-					func(j int, sim *core.Simulator) (struct{}, error) {
+				runner.StreamCtx(context.Background(), seeds, runner.Options{Workers: workers},
+					func(_ context.Context, j int, sim *core.Simulator) (struct{}, error) {
 						spec := harness.Generate(uint64(5000 + j))
 						return struct{}{}, harness.CheckOn(sim, spec)
 					},

@@ -1,7 +1,6 @@
-// Command gridlint runs the gridrealloc invariant analyzers (directives,
-// resetcomplete, stateversion, poollife, determinism, sweepowner,
-// refbalance — see internal/lint) over the module and prints one line per
-// diagnostic:
+// Command gridlint runs the six gridrealloc invariant analyzers (directives,
+// resetcomplete, stateversion, poollife, determinism, sweepowner — see
+// internal/lint) over the module and prints one line per diagnostic:
 //
 //	path/to/file.go:line:col: analyzer: message
 //
@@ -20,7 +19,7 @@
 // directive -> count object).
 //
 // -suppressions counts the suite's suppression directives
-// (keep-across-reset, allow-retain, unordered-ok, ref-transferred) instead
+// (keep-across-reset, allow-retain, unordered-ok) instead
 // of reporting diagnostics, prints the counts in LINT_SUPPRESSIONS format,
 // and fails when a count exceeds the committed baseline — the suppression
 // budget only ratchets down.

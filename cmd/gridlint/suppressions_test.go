@@ -97,7 +97,7 @@ func TestSuppressionsWithinAndOverBudget(t *testing.T) {
 		}
 	}
 
-	writeBaseline("# budget\nallow-retain 0\nkeep-across-reset 0\nref-transferred 0\nunordered-ok 1\n")
+	writeBaseline("# budget\nallow-retain 0\nkeep-across-reset 0\nunordered-ok 1\n")
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-root", dir, "-suppressions", "./..."}, &out, &errBuf); code != 0 {
 		t.Fatalf("within budget exited %d, want 0\nstderr:\n%s", code, errBuf.String())

@@ -69,22 +69,22 @@
 // whenever scheduler internals change.
 //
 // Two invariants of the profile engine matter to future scale-out work.
-// First, buffer reuse: the scheduler re-plans into double-buffered plan
-// profiles and pools its queue/allocation records, so the steady-state event
-// loop and re-plan path allocate nothing — but a published plan profile is
-// frozen the moment an estimate snapshot references it, and every mutation
-// after that point copies or swaps buffers. Code holding an
-// EstimateSnapshot may therefore assume its answers never change; code
-// adding scheduler mutations must go through the publish paths rather than
-// touching the published profile. Second, the deterministic merge: a
-// reallocation sweep may fan per-cluster snapshotting and estimation over a
-// bounded worker pool (core.SetSweepParallelism), and correctness relies on
-// each worker touching exactly one cluster's scheduler and writing only
-// per-cluster result slots, so the merged outcome is bit-identical to the
-// sequential sweep regardless of scheduling order (verified across the
-// 72-configuration digest grid by TestABDigestParallelSweep and under the
-// race detector in CI). Sharding work across clusters must preserve that
-// ownership discipline.
+// First, buffer reuse: each cluster has exactly one plan buffer, which
+// re-plans and append-path submissions update in place, and the scheduler
+// pools its queue/allocation records, so the steady-state event loop and
+// re-plan path allocate nothing. An EstimateSnapshot owns no profile: it is
+// a view that reads the live plan, and a query on a view whose plan changed
+// since it was taken re-takes it first, so a view always answers for the
+// cluster's current state — the paper's middleware only ever asks for the
+// current estimate. Second, the deterministic merge: a reallocation sweep
+// may fan per-cluster snapshotting and estimation over a bounded worker
+// pool (ReallocConfig.SweepWorkers and SweepThreshold, set per run), and
+// correctness relies on each worker touching exactly one cluster's
+// scheduler and writing only per-cluster result slots, so the merged
+// outcome is bit-identical to the sequential sweep regardless of
+// scheduling order (verified across the 72-configuration digest grid by
+// TestABDigestParallelSweep and under the race detector in CI). Sharding
+// work across clusters must preserve that ownership discipline.
 //
 // # Campaign engine
 //
@@ -232,18 +232,17 @@
 //
 // The runtime contracts above — Reset completeness, state-version
 // observability, pooled-buffer lifetimes, bit-for-bit determinism, sweep
-// ownership, snapshot reference balance — are enforced at the source level
-// by internal/lint, a dependency-free suite of seven analyzers following
-// the golang.org/x/tools go/analysis shape. The dataflow-capable members
-// share a lightweight per-function CFG (internal/lint/cfg.go) and a
-// program-wide static call graph (internal/lint/callgraph.go):
+// ownership — are enforced at the source level by internal/lint, a
+// dependency-free suite of six analyzers following the golang.org/x/tools
+// go/analysis shape. The interprocedural members share a program-wide
+// static call graph (internal/lint/callgraph.go):
 //
 //   - directives: validates the //gridlint: control comments themselves —
 //     unknown (typo'd) directive words are rejected, and suppression
-//     directives (keep-across-reset, allow-retain, unordered-ok,
-//     ref-transferred) must carry a prose justification. A misspelled
-//     directive never fails; it silently disarms the check it was meant to
-//     configure, which is why this pass exists.
+//     directives (keep-across-reset, allow-retain, unordered-ok) must
+//     carry a prose justification. A misspelled directive never fails; it
+//     silently disarms the check it was meant to configure, which is why
+//     this pass exists.
 //
 //   - resetcomplete: every field of a type marked //gridlint:resettable
 //     (batch.Scheduler, sim.Engine, server.Server, core.Agent, the core
@@ -265,10 +264,11 @@
 //     itself bump (or carry the directive). A missed bump silently disables
 //     the dirty-cluster sweep-skipping of the campaign engine.
 //
-//   - poollife: values returned by //gridlint:pooled functions (Advance
-//     notes, plan buffers) must not be retained in struct fields, package
-//     variables or escaping closures without a copy; intentional ownership
-//     transfers carry //gridlint:allow-retain with a justification.
+//   - poollife: values returned by //gridlint:pooled functions (such as
+//     the Advance notification slice) must not be retained in struct
+//     fields, package variables or escaping closures without a copy;
+//     intentional ownership transfers carry //gridlint:allow-retain with a
+//     justification.
 //
 //   - determinism: forbids time.Now/Since/Until and the global math/rand
 //     functions anywhere in the simulation, requires every map iteration to
@@ -277,23 +277,12 @@
 //     MappingPolicy — the fuzz oracle's first real catch.
 //
 //   - sweepowner: inside worker callbacks passed to //gridlint:worker
-//     functions (core.Agent.forEachCluster, runner.Stream), slices marked
+//     functions (core.Agent.forEachCluster, runner.StreamCtx), slices marked
 //     //gridlint:cluster-indexed may only be indexed by the worker's owned
 //     cluster index (or a value derived from it by plain copy). Cross-slot
 //     reads, whole-slice iteration, and stray indexes reached through
 //     helpers or closures are flagged. This is the data-race gate for the
 //     sharding work: one worker owns one cluster slot.
-//
-//   - refbalance: path-sensitively pairs snapshot acquisition
-//     (//gridlint:ref-acquire — batch.Scheduler.EstimateSnapshot and
-//     EstimateSnapshotInto) with release (//gridlint:ref-release —
-//     EstimateSnapshot.Release) over each function's CFG: leaks on any
-//     path, definite double releases, overwrites and reacquires while a
-//     reference is held, and escapes (returns or stores) without a
-//     //gridlint:ref-transferred handoff annotation are flagged. Error
-//     paths are tracked through the acquire's error result, and deferred
-//     releases (including method values and closing literals) count on
-//     every exit path.
 //
 // Run the suite locally with
 //

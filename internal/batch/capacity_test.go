@@ -203,8 +203,8 @@ func TestEstimatesSeeCapacityWindows(t *testing.T) {
 	if ect != 450 {
 		t.Fatalf("ECT through the window = %d, want 450 (start at 300)", ect)
 	}
-	snap, err := s.EstimateSnapshot(0)
-	if err != nil {
+	var snap EstimateSnapshot
+	if err := s.EstimateSnapshotInto(&snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := snap.EstimateCompletion(probe); err != nil || got != ect {

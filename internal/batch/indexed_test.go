@@ -1,8 +1,8 @@
 package batch
 
 // Tests for the indexed/incremental scheduler internals: job-ID lookup and
-// cancellation states, completion predictions across requeues, detached
-// estimate snapshots, lazy re-planning, and the equivalence between the
+// cancellation states, completion predictions across requeues, estimate
+// snapshots, lazy re-planning, and the equivalence between the
 // incrementally maintained run profile and its from-scratch reference.
 
 import (
@@ -123,8 +123,8 @@ func TestEstimateSnapshotMatchesDirectQuery(t *testing.T) {
 			}
 		}
 		collect(t, s, 10)
-		snap, err := s.EstimateSnapshot(10)
-		if err != nil {
+		var snap EstimateSnapshot
+		if err := s.EstimateSnapshotInto(&snap, 10); err != nil {
 			t.Fatal(err)
 		}
 		if snap.Cluster() != "test" || snap.Time() != 10 {
@@ -151,24 +151,128 @@ func TestEstimateSnapshotMatchesDirectQuery(t *testing.T) {
 		if snap.Stale() {
 			t.Fatal("snapshot stale with no intervening mutation")
 		}
-		// A mutation makes the snapshot stale but it still answers with the
-		// state at snapshot time.
-		before, err := snap.EstimateCompletion(job(3000, 10, 200, 400, 4))
+		// A mutation makes the snapshot stale; the same view then answers for
+		// the live plan, exactly as a fresh snapshot and a direct query do.
+		// The submission has the probe's shape, so it takes the probe's slot.
+		probe := job(3000, 10, 200, 400, 8)
+		before, err := snap.EstimateCompletion(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Submit(job(999, 10, 300, 900, 8), 10, 0); err != nil {
+		if err := s.Submit(job(999, 10, 200, 400, 8), 10, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !snap.Stale() {
 			t.Fatal("snapshot not stale after a submission")
 		}
-		after, err := snap.EstimateCompletion(job(3000, 10, 200, 400, 4))
+		after, err := snap.EstimateCompletion(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if before != after {
-			t.Fatalf("stale snapshot changed its answer: %d -> %d", before, after)
+		if snap.Stale() {
+			t.Fatal("query did not refresh the stale snapshot")
+		}
+		var fresh EstimateSnapshot
+		if err := s.EstimateSnapshotInto(&fresh, 10); err != nil {
+			t.Fatal(err)
+		}
+		fromFresh, err := fresh.EstimateCompletion(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := s.EstimateCompletion(probe, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != fromFresh || after != direct {
+			t.Fatalf("[%v] stale view answered %d, fresh snapshot %d, direct %d", policy, after, fromFresh, direct)
+		}
+		if after == before {
+			t.Fatalf("[%v] submission left the estimate at %d; the probe does not exercise the refresh", policy, after)
+		}
+		// Once the clock passed the view's instant, a stale view cannot be
+		// re-taken and says so instead of answering for the past.
+		s.InvalidatePlan()
+		collect(t, s, 20)
+		if _, err := snap.EstimateCompletion(probe); !errors.Is(err, ErrTimeTravel) {
+			t.Fatalf("stale view past its instant: err = %v, want ErrTimeTravel", err)
+		}
+	}
+}
+
+// TestSnapshotAppendCycleAllocationFree pins the steady-state cost of the
+// reallocation sweep's inner cycle: an append-path submission while a view
+// is outstanding, the query that refreshes the view, and the cancel that
+// undoes the submission allocate nothing, because every rebuild and append
+// writes into the cluster's single plan buffer in place.
+func TestSnapshotAppendCycleAllocationFree(t *testing.T) {
+	for _, policy := range []Policy{FCFS, CBF} {
+		s := newTestScheduler(t, 8, 1.3, policy)
+		// The from-scratch cross-check allocates by design; this test is about
+		// the production path.
+		s.SetDebugCrossCheck(false)
+		for i := 0; i < 6; i++ {
+			if err := s.Submit(job(i+1, 0, 300, 900, 1+i%8), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		collect(t, s, 10)
+		var snap EstimateSnapshot
+		probe := job(3000, 10, 200, 400, 4)
+		moved := job(999, 10, 300, 900, 3)
+		cycle := func() {
+			if err := s.EstimateSnapshotInto(&snap, 10); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Submit(moved, 10, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := snap.TryEstimateCompletion(probe); !ok {
+				t.Fatal("probe found no slot")
+			}
+			if _, _, err := s.Cancel(moved.ID, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // warm the buffers and the estimate cache
+		appends := s.ProfileStats().PlanAppends
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("[%v] submit/snapshot cycle allocates %.1f times per run, want 0", policy, allocs)
+		}
+		if got := s.ProfileStats().PlanAppends - appends; got < 100 {
+			t.Fatalf("[%v] %d of the cycles took the append path, want all of them", policy, got)
+		}
+	}
+}
+
+// TestSnapshotViewsQueriedOutOfOrder covers the estimate cache's lower-bound
+// guard: two views of one plan taken for different instants may be queried
+// later-instant first, and the earlier view must still get its own answer
+// rather than the cached one computed for the later bound.
+func TestSnapshotViewsQueriedOutOfOrder(t *testing.T) {
+	s := newTestScheduler(t, 8, 1.0, CBF)
+	var early, late EstimateSnapshot
+	if err := s.EstimateSnapshotInto(&early, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EstimateSnapshotInto(&late, 20); err != nil {
+		t.Fatal(err)
+	}
+	probe := job(1, 10, 100, 100, 4)
+	for _, q := range []struct {
+		view *EstimateSnapshot
+		now  int64
+	}{{&late, 20}, {&early, 10}, {&late, 20}} {
+		got, err := q.view.EstimateCompletion(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.EstimateCompletion(probe, q.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("view at %d answered %d, direct query %d", q.now, got, want)
 		}
 	}
 }
@@ -254,8 +358,8 @@ func TestPropertyIncrementalProfileMatchesScratch(t *testing.T) {
 						return false
 					}
 				case 4: // snapshot + query
-					snap, err := s.EstimateSnapshot(now)
-					if err != nil {
+					var snap EstimateSnapshot
+					if err := s.EstimateSnapshotInto(&snap, now); err != nil {
 						return false
 					}
 					probe := workload.Job{ID: 1 << 30, Submit: now, Runtime: 50, Walltime: 150, Procs: int(o.Procs%16) + 1}

@@ -84,13 +84,6 @@ type profile struct {
 	// Reservations preserve the invariant (they only remove cores); releases
 	// and reshaping operations reset the hint to 0, which is always valid.
 	firstFree int
-	// refs counts live estimate snapshots referencing this profile. While
-	// refs > 0 the profile is immutable (mutations copy or swap in a fresh
-	// buffer); when the last snapshot releases a superseded profile, its
-	// buffer returns to the scheduler's spare bank instead of becoming
-	// garbage — the cycle that keeps steady-state re-planning allocation-free
-	// even though every sweep pins one profile per cluster.
-	refs int
 }
 
 // newProfile returns a profile with all cores free from `start` onwards.

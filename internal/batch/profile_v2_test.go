@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -454,4 +455,53 @@ func TestBucketSummaryActivation(t *testing.T) {
 	if len(p.bmax) != 0 || len(p.bmin) != 0 {
 		t.Fatalf("summaries survived deactivation: %d/%d buckets", len(p.bmax), len(p.bmin))
 	}
+}
+
+// TestProfileCheckDetectsCorruption feeds the structural validator one
+// broken profile per invariant: a validator that only ever sees healthy
+// profiles in the property tests could silently stop detecting anything.
+func TestProfileCheckDetectsCorruption(t *testing.T) {
+	// deep returns a healthy profile above the bucket activation threshold.
+	deep := func() *profile {
+		p := newProfile(0, 4)
+		for i := 0; len(p.times) < bucketActivate; i++ {
+			if err := p.reserve(int64(10+20*i), int64(20+20*i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		prof func() *profile
+		want string
+	}{
+		{"arrays diverged", func() *profile { return &profile{times: []int64{0, 10}, free: []int{4}, cores: 4} }, "arrays diverged"},
+		{"no segments", func() *profile { return &profile{cores: 4} }, "no segments"},
+		{"breakpoints not increasing", func() *profile { return &profile{times: []int64{0, 10, 10}, free: []int{4, 2, 4}, cores: 4} }, "not strictly increasing"},
+		{"free above cores", func() *profile { return &profile{times: []int64{0, 10}, free: []int{4, 5}, cores: 4} }, "out of [0,4]"},
+		{"firstFree out of range", func() *profile { p := newProfile(0, 4); p.firstFree = 1; return p }, "firstFree 1 out of range"},
+		{"firstFree skips free cores", func() *profile { return &profile{times: []int64{0, 10}, free: []int{4, 0}, cores: 4, firstFree: 1} }, "skips non-zero segment"},
+		{"bucket arrays diverged", func() *profile { p := newProfile(0, 4); p.bmax = []int{4}; return p }, "bucket arrays diverged"},
+		{"summaries below threshold", func() *profile { p := newProfile(0, 4); p.bmax, p.bmin = []int{4}, []int{4}; return p }, "below the activation threshold"},
+		{"wrong bucket count", func() *profile { p := deep(); p.bmax, p.bmin = p.bmax[:1], p.bmin[:1]; return p }, "bucket summaries for"},
+		{"stale summary", func() *profile { p := deep(); p.bmax[0]++; return p }, "disagrees with segments"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.prof().check()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("check() = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+	// Under the debug switch, a mutation that leaves a broken profile panics.
+	defer func(on bool) { debugProfile = on }(debugProfile)
+	debugProfile = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("debugCheck accepted a corrupt profile")
+		}
+	}()
+	(&profile{cores: 4}).debugCheck()
 }

@@ -35,8 +35,8 @@ func driveScript(t *testing.T, s *Scheduler) (notes []Notification, ects []int64
 		} else {
 			ects = append(ects, -1)
 		}
-		sn, err := s.EstimateSnapshot(now)
-		if err != nil {
+		var sn EstimateSnapshot
+		if err := s.EstimateSnapshotInto(&sn, now); err != nil {
 			t.Fatalf("snapshot at %d: %v", now, err)
 		}
 		if ect, ok := sn.TryEstimateCompletion(j); ok {

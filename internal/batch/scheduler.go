@@ -266,16 +266,11 @@ type Scheduler struct {
 
 	// planProf is the availability profile including running jobs and all
 	// planned waiting reservations; planDirty defers its reconstruction until
-	// the next observation. Estimate snapshots share planProf by reference
-	// and hold a reference count on it (profile.refs): while referenced, the
-	// profile is treated as immutable (rebuilds and appends swap in a fresh
-	// buffer). Superseded buffers return to planSpares when their last
-	// snapshot releases them — EstimateSnapshotInto releases the snapshot's
-	// previous profile on refresh — so steady-state re-planning allocates
-	// nothing even though every reallocation sweep pins one profile per
-	// cluster between passes.
+	// the next observation. It is the cluster's single plan buffer: rebuilds
+	// and appends update it in place, and estimate snapshots are views that
+	// read it live (planVersion tells a view whether it is still current), so
+	// steady-state re-planning allocates nothing.
 	planProf    *profile
-	planSpares  []*profile //gridlint:keep-across-reset pooled spare buffers, pure capacity
 	planDirty   bool
 	planVersion uint64
 	// maxPlannedStart is the latest planned start among waiting jobs, used
@@ -418,16 +413,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.finishHeap = s.finishHeap[:0]
 	s.capacityBaseProfileInto(s.runProf, 0)
 	s.runProfValid = true
-	if s.planProf.refs > 0 {
-		// A snapshot from the previous run still references the published
-		// profile; publish a fresh buffer instead of mutating under it (the
-		// old buffer is banked when that snapshot is refreshed or dropped).
-		prof := s.takePlanBuffer()
-		prof.copyFrom(s.runProf)
-		s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	} else {
-		s.planProf.copyFrom(s.runProf)
-	}
+	s.planProf.copyFrom(s.runProf)
 	s.planDirty = false
 	s.planVersion++
 	s.maxPlannedStart = 0
@@ -527,9 +513,8 @@ func (s *Scheduler) Counters() (submissions, cancellations, ectQueries int64) {
 
 // ProfileStats reports how the incremental machinery behaved: how many times
 // the waiting-queue plan was rebuilt versus served from cache, how many ECT
-// queries were answered from detached snapshots, and how often the
-// incremental run profile had to be reconstructed from scratch through the
-// invalidation path.
+// queries were answered from snapshots, and how often the incremental run
+// profile had to be reconstructed from scratch through the invalidation path.
 type ProfileStats struct {
 	// PlanRebuilds counts full re-plans of the waiting queue.
 	PlanRebuilds int64
@@ -538,7 +523,8 @@ type ProfileStats struct {
 	PlanAppends int64
 	// PlanReuses counts observations served without a re-plan.
 	PlanReuses int64
-	// Snapshots counts EstimateSnapshot calls.
+	// Snapshots counts EstimateSnapshotInto calls, including the refresh a
+	// query on a stale snapshot performs.
 	Snapshots int64
 	// SnapshotHits counts ECT queries answered from a snapshot.
 	SnapshotHits int64
@@ -688,78 +674,19 @@ func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hi
 	return start, end, cursor, err
 }
 
-// maxPlanSpares bounds the spare-buffer bank; two buffers cover the
-// steady-state rebuild/copy-on-write cycle and a couple more absorb bursts
-// of snapshot releases without hoarding memory on idle clusters.
-const maxPlanSpares = 4
-
-// takePlanBuffer returns a profile buffer the caller may freely overwrite
-// and publish as the next planProf: a recycled spare when one is banked,
-// a fresh profile otherwise. Banked spares are never referenced outside the
-// scheduler (a buffer is only banked once its last snapshot released it), so
-// reusing one cannot disturb a snapshot.
-//
-//gridlint:pooled
-func (s *Scheduler) takePlanBuffer() *profile {
-	if n := len(s.planSpares); n > 0 {
-		p := s.planSpares[n-1]
-		s.planSpares[n-1] = nil
-		s.planSpares = s.planSpares[:n-1]
-		return p
-	}
-	return &profile{}
-}
-
-// bankPlanBuffer returns an unreferenced profile buffer to the spare bank.
-func (s *Scheduler) bankPlanBuffer(p *profile) {
-	if p == nil || len(s.planSpares) >= maxPlanSpares {
-		return
-	}
-	s.planSpares = append(s.planSpares, p)
-}
-
-// releaseSnapshotProfile drops one snapshot reference from p; the last
-// release of a superseded profile banks its buffer for reuse. The published
-// profile itself is never banked — it is still the scheduler's plan.
-func (s *Scheduler) releaseSnapshotProfile(p *profile) {
-	if p.refs > 0 {
-		p.refs--
-	}
-	if p.refs == 0 && p != s.planProf {
-		s.bankPlanBuffer(p)
-	}
-}
-
 // appendToPlan plans a newly appended entry against the current plan
-// profile without re-planning the rest of the queue. While no snapshot
-// references the published profile the reservation happens in place (reserve
-// validates before mutating, so a failure cannot publish a bad profile);
-// once a snapshot was handed out the profile is copied first, so snapshots
-// keep answering for the state they were taken at — the superseded buffer
-// returns to the spare bank when its last snapshot releases it.
+// profile without re-planning the rest of the queue. The reservation happens
+// in place: reserve validates before mutating, so a failure cannot publish a
+// bad profile.
 func (s *Scheduler) appendToPlan(e *queueEntry) {
-	prof := s.planProf
-	if prof.refs > 0 {
-		cow := s.takePlanBuffer()
-		cow.copyFrom(prof)
-		prof = cow
-	}
-	start, end, _, err := s.placeEntry(prof, e, s.maxPlannedStart, 0)
+	start, end, _, err := s.placeEntry(s.planProf, e, s.maxPlannedStart, 0)
 	if err != nil {
 		// Fall back to a full re-plan rather than publishing a bad profile.
-		if prof != s.planProf {
-			s.bankPlanBuffer(prof)
-		}
 		s.planDirty = true
 		return
 	}
 	e.plannedStart = start
 	e.plannedEnd = end
-	if prof != s.planProf {
-		// The old profile stays pinned by its snapshots and is banked on
-		// their release.
-		s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	}
 	if start > s.maxPlannedStart {
 		s.maxPlannedStart = start
 	}
@@ -890,80 +817,41 @@ func (s *Scheduler) TryEstimateCompletion(j workload.Job, now int64) (int64, boo
 	return start + wall, true
 }
 
-// EstimateSnapshot is a detached, immutable view of the cluster's planned
-// availability at a given instant. It answers the same query as
-// EstimateCompletion but can be taken once per cluster per reallocation
-// sweep and reused across every candidate job and heuristic, avoiding one
-// plan consultation per (job, cluster) pair.
+// EstimateSnapshot is a view of the cluster's live plan at a given instant.
+// It answers the same query as EstimateCompletion but can be taken once per
+// cluster per reallocation sweep and reused across every candidate job and
+// heuristic, avoiding one plan consultation per (job, cluster) pair. The
+// view owns nothing: it reads the scheduler's published plan, and a query
+// on a view whose plan changed since it was taken first re-takes it at its
+// instant (see TryEstimateCompletionScaled), so a view always answers for
+// the cluster's current state.
 type EstimateSnapshot struct {
 	sched   *Scheduler
-	prof    *profile
 	now     int64
 	lower   int64
 	version uint64
 }
 
-// EstimateSnapshot returns a snapshot of the cluster's planned availability
-// at time now. The snapshot shares the plan profile by reference (mutations
-// swap in or copy to a fresh profile once a reference was handed out), so
-// taking one is O(1).
-//
-//gridlint:ref-acquire
-func (s *Scheduler) EstimateSnapshot(now int64) (*EstimateSnapshot, error) {
-	sn := &EstimateSnapshot{}
-	if err := s.EstimateSnapshotInto(sn, now); err != nil {
-		return nil, err
-	}
-	return sn, nil
-}
-
-// EstimateSnapshotInto overwrites sn with a snapshot at time now, letting a
-// caller that re-snapshots every cluster once per sweep reuse its snapshot
-// storage instead of allocating one per call. Refreshing releases the
-// snapshot's previous profile reference, so the sweep's per-cluster
-// snapshots recycle superseded plan buffers instead of leaking them to the
-// garbage collector.
-//
-//gridlint:ref-acquire
+// EstimateSnapshotInto overwrites sn with a view of the plan at time now.
+// Taking one is O(1) once the plan is current, and a caller that re-snapshots
+// every cluster once per sweep reuses its snapshot storage.
 func (s *Scheduler) EstimateSnapshotInto(sn *EstimateSnapshot, now int64) error {
 	if now < s.now {
 		return fmt.Errorf("%w: snapshot at %d, now %d", ErrTimeTravel, now, s.now)
 	}
-	sn.Release()
 	s.observePlan()
 	s.snapshots++
-	// The handed-out reference freezes the published profile: mutations now
-	// copy first (appendToPlan) or build into a fresh buffer (rebuildPlan).
-	s.planProf.refs++
 	lower := now
 	if s.policy == FCFS && s.maxPlannedStart > lower {
 		lower = s.maxPlannedStart
 	}
 	*sn = EstimateSnapshot{
 		sched:   s,
-		prof:    s.planProf,
 		now:     now,
 		lower:   lower,
 		version: s.planVersion,
 	}
 	return nil
-}
-
-// Release drops the snapshot's reference on its plan profile, returning the
-// buffer to the scheduler's spare bank when it was the last reference on a
-// superseded profile. A released (or zero) snapshot must not answer further
-// estimate queries. Release is nil-safe and idempotent, so a caller that
-// owns a snapshot for a scope can `defer sn.Release()` unconditionally;
-// callers that instead refresh the snapshot in place every sweep
-// (EstimateSnapshotInto) get the same release as part of the refresh.
-//
-//gridlint:ref-release
-func (sn *EstimateSnapshot) Release() {
-	if sn == nil || sn.prof == nil || sn.sched == nil {
-		return
-	}
-	sn.sched.releaseSnapshotProfile(sn.prof)
-	sn.prof = nil
 }
 
 // Cluster returns the name of the cluster the snapshot was taken from.
@@ -973,20 +861,23 @@ func (sn *EstimateSnapshot) Cluster() string { return sn.sched.spec.Name }
 func (sn *EstimateSnapshot) Time() int64 { return sn.now }
 
 // Stale reports whether the cluster's plan has changed since the snapshot
-// was taken; a stale snapshot answers queries for the state at snapshot
-// time, not the current state.
+// was taken; the next query on a stale snapshot re-takes it first.
 func (sn *EstimateSnapshot) Stale() bool {
 	return sn.sched.planDirty || sn.sched.planVersion != sn.version
 }
 
 // EstimateCompletion answers the completion-time query against the snapshot.
-// It returns ErrTooWide if the job can never run on the cluster.
+// It returns ErrTooWide if the job can never run on the cluster, and
+// ErrTimeTravel if the snapshot is stale and its instant is already past.
 func (sn *EstimateSnapshot) EstimateCompletion(j workload.Job) (int64, error) {
 	ect, ok := sn.TryEstimateCompletion(j)
 	if !ok {
 		s := sn.sched
 		if !s.Fits(j) {
 			return 0, fmt.Errorf("%w: job %d needs %d cores, cluster %q has %d", ErrTooWide, j.ID, j.Procs, s.spec.Name, s.spec.Cores)
+		}
+		if sn.Stale() {
+			return 0, fmt.Errorf("%w: stale snapshot at %d, now %d", ErrTimeTravel, sn.now, s.now)
 		}
 		return 0, fmt.Errorf("%w: job %d on cluster %q", ErrTooWide, j.ID, s.spec.Name)
 	}
@@ -1034,22 +925,23 @@ const cachedNoSlot int64 = math.MinInt64
 // skipped. The cache makes same-shape candidates within one sweep and the
 // whole column of a cluster no sweep touched O(1) instead of one slot search
 // each — the query path of the dirty-cluster sweep optimisation.
+//
+// A stale view is re-taken at its instant before anything else, through the
+// same EstimateSnapshotInto a caller would issue, so a sweep never needs to
+// check staleness itself; ok is false when that refresh fails because the
+// cluster's clock already passed the view's instant.
 func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (int64, bool) {
 	s := sn.sched
+	if sn.Stale() {
+		if err := s.EstimateSnapshotInto(sn, sn.now); err != nil {
+			return 0, false
+		}
+	}
 	if procs > s.spec.Cores {
 		return 0, false
 	}
 	s.ectQueries++
 	s.snapshotHits++
-	if sn.version != s.planVersion || s.planDirty {
-		// The snapshot answers for a superseded plan; the cache tracks the
-		// published one.
-		start := sn.prof.findSlot(sn.lower, wall, procs)
-		if start == noSlot {
-			return 0, false
-		}
-		return start + wall, true
-	}
 	if s.ectCacheVersion != s.planVersion || s.ectCache == nil {
 		if s.ectCache == nil {
 			s.ectCache = make(map[ectKey]int64, 64)
@@ -1062,7 +954,7 @@ func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (
 	if sn.lower < s.ectCacheLower {
 		// Out-of-order query below a bound the cache already served; answer
 		// directly rather than trusting entries computed for a later bound.
-		start := sn.prof.findSlot(sn.lower, wall, procs)
+		start := s.planProf.findSlot(sn.lower, wall, procs)
 		if start == noSlot {
 			return 0, false
 		}
@@ -1080,7 +972,7 @@ func (sn *EstimateSnapshot) TryEstimateCompletionScaled(procs int, wall int64) (
 			return ect, true
 		}
 	}
-	start := sn.prof.findSlot(sn.lower, wall, procs)
+	start := s.planProf.findSlot(sn.lower, wall, procs)
 	if start == noSlot {
 		s.ectCache[k] = cachedNoSlot
 		return 0, false
@@ -1518,9 +1410,8 @@ func (s *Scheduler) CheckProfileConsistency() error {
 // rebuildPlan recomputes the planned start and completion of every waiting
 // job, according to the local policy, on top of the incrementally maintained
 // running-jobs profile. The waiting slice is kept in submission (seq) order
-// by construction, so planning needs no sort. The plan is built into a
-// double-buffered scratch profile — the previous published profile, unless
-// a snapshot still references it — so steady-state re-planning allocates
+// by construction, so planning needs no sort. The plan is rebuilt in place
+// in the cluster's single plan buffer, so steady-state re-planning allocates
 // nothing.
 func (s *Scheduler) rebuildPlan() {
 	s.planRebuilds++
@@ -1531,7 +1422,7 @@ func (s *Scheduler) rebuildPlan() {
 				s.spec.Name, s.now, s.runProf.times, s.runProf.free, fresh.times, fresh.free))
 		}
 	}
-	prof := s.takePlanBuffer()
+	prof := s.planProf
 	prof.copyFrom(s.runProf)
 	// Planning k jobs inserts at most 2k breakpoints; growing once up front
 	// replaces the log-many append doublings mid-plan.
@@ -1563,14 +1454,7 @@ func (s *Scheduler) rebuildPlan() {
 	// estimates; prevStart is the latest planned start (or now when the
 	// queue is empty), which is exactly the FCFS lower bound for a
 	// hypothetical extra job. Planning visited every waiting job, so the
-	// earliest planned start falls out of the same loop. An unreferenced old
-	// profile is banked immediately; a referenced one is banked when its
-	// last snapshot releases it.
-	old := s.planProf
-	s.planProf = prof //gridlint:allow-retain publishing the buffer is the transfer the pool exists for
-	if old != nil && old.refs == 0 {
-		s.bankPlanBuffer(old)
-	}
+	// earliest planned start falls out of the same loop.
 	s.maxPlannedStart = prevStart
 	s.nextStart = next
 	s.planVersion++

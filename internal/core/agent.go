@@ -77,17 +77,16 @@ type ReallocConfig struct {
 	// DefaultMinGain. Algorithm 2 ignores it.
 	MinGain int64
 	// SweepWorkers bounds the worker pool this run's reallocation sweeps fan
-	// per-cluster work over; 0 uses the process-wide default
-	// (SetSweepParallelism). 1 forces the sequential path. Parallel and
-	// sequential sweeps are bit-identical, so this is a performance knob and
-	// the lever determinism checks flip; a per-run value lets concurrent
-	// simulations (the fuzz harness) use different settings without racing
-	// on the process-wide ones.
+	// per-cluster work over; 0 uses GOMAXPROCS and 1 forces the sequential
+	// path. Parallel and sequential sweeps are bit-identical, so this is a
+	// performance knob and the lever determinism checks flip; being per run,
+	// it lets concurrent simulations (the fuzz harness) use different
+	// settings side by side.
 	SweepWorkers int
 	// SweepThreshold is the minimum number of (candidate, cluster) pairs a
-	// sweep must hold before it fans out; 0 uses the process-wide default
-	// (SetSweepParallelThreshold). Tests and the fuzz harness set 1 to force
-	// the parallel path onto small fixtures.
+	// sweep must hold before it fans out; 0 uses the tuned default of 2048.
+	// Tests and the fuzz harness set 1 to force the parallel path onto small
+	// fixtures.
 	SweepThreshold int
 }
 
@@ -408,12 +407,7 @@ type sweep struct {
 func (a *Agent) newSweep(now int64, cands []Candidate) (*sweep, error) {
 	n, m := len(cands), len(a.servers)
 	if cap(a.scratchSnaps) < m {
-		// Carry the old snapshots into the grown slice: they still hold
-		// references on plan profiles, and the next EstimateSnapshotInto
-		// refresh releases those only if the snapshot structs survive.
-		snaps := make([]batch.EstimateSnapshot, m)
-		copy(snaps, a.scratchSnaps)
-		a.scratchSnaps = snaps
+		a.scratchSnaps = make([]batch.EstimateSnapshot, m)
 		a.scratchErrs = make([]error, m)
 	}
 	if cap(a.scratchECTs) < n*m {
@@ -463,13 +457,9 @@ func (a *Agent) newSweep(now int64, cands []Candidate) (*sweep, error) {
 // returning NoEstimate when the job can never run there. A snapshot whose
 // plan changed under it — which only happens when a capacity event fires at
 // the sweep instant, as the sweep itself refreshes the clusters it mutates —
-// is re-taken first, so estimates never reflect capacity the cluster lost.
+// re-takes itself on the query, so estimates never reflect capacity the
+// cluster lost.
 func (sw *sweep) query(i, idx int, j workload.Job) int64 {
-	if sw.snaps[idx].Stale() {
-		if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
-			return NoEstimate
-		}
-	}
 	wall := sw.walls[i][idx]
 	if wall == 0 {
 		wall = sw.snaps[idx].ScaledWalltime(j)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"gridrealloc/internal/batch"
@@ -263,6 +264,33 @@ func TestReallocateEmptyQueues(t *testing.T) {
 		moves, err := a.Reallocate(50)
 		if err != nil || moves != 0 {
 			t.Fatalf("%v on empty queues: moves=%d err=%v", alg, moves, err)
+		}
+	}
+}
+
+// TestReallocateBeforeClusterClockFails pins the time-travel contract of a
+// sweep: a pass at an instant some cluster has already passed fails with
+// batch.ErrTimeTravel, from the snapshot (Algorithm 1) or from the first
+// cancellation (Algorithm 2), instead of estimating from the past.
+func TestReallocateBeforeClusterClockFails(t *testing.T) {
+	for _, alg := range []Algorithm{WithoutCancellation, WithCancellation} {
+		servers := buildImbalancedServers(t, batch.FCFS)
+		// Algorithm 1 snapshots every cluster, so an idle cluster ahead in
+		// time trips it; Algorithm 2 cancels first, on the loaded cluster.
+		ahead := servers[1]
+		if alg == WithCancellation {
+			ahead = servers[0]
+		}
+		if _, err := ahead.Scheduler().Advance(500); err != nil {
+			t.Fatal(err)
+		}
+		held := totalJobsHeld(servers)
+		a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: MinMin()})
+		if _, err := a.Reallocate(100); !errors.Is(err, batch.ErrTimeTravel) {
+			t.Fatalf("%v: Reallocate before %s's clock: err = %v, want ErrTimeTravel", alg, ahead.Name(), err)
+		}
+		if got := totalJobsHeld(servers); got != held {
+			t.Fatalf("%v: failed pass changed the job count from %d to %d", alg, held, got)
 		}
 	}
 }

@@ -14,66 +14,36 @@ import (
 // to the sequential loop; only wall-clock time changes. Tiny sweeps skip the
 // fan-out entirely: below the work threshold the goroutine handoff costs
 // more than the queries it would parallelise.
-var (
-	// sweepWorkers bounds the worker pool; 1 disables parallelism.
-	sweepWorkers = runtime.GOMAXPROCS(0)
-	// sweepMinWork is the minimum number of (candidate, cluster) pairs a
-	// sweep stage must hold before it fans out.
-	sweepMinWork = 2048
-)
 
-// defaultSweepMinWork restores the tuned threshold after tests force the
-// parallel path.
+// defaultSweepMinWork is the minimum number of (candidate, cluster) pairs a
+// sweep stage must hold before it fans out, unless the run's
+// ReallocConfig.SweepThreshold overrides it.
 const defaultSweepMinWork = 2048
 
-// SetSweepParallelism bounds the worker pool the reallocation sweep fans
-// per-cluster evaluation over. workers <= 0 restores the default
-// (GOMAXPROCS); 1 forces the sequential path. The parallel and sequential
-// paths produce bit-identical results, so this is purely a performance knob
-// (and the lever determinism tests use to compare the two).
-func SetSweepParallelism(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sweepWorkers = workers
-}
-
-// SetSweepParallelThreshold sets the minimum number of (candidate, cluster)
-// pairs a sweep must hold before it fans out; below it the sweep runs
-// sequentially because the goroutine handoff would cost more than the
-// queries. pairs <= 0 restores the default. Tests set it to 1 to force the
-// parallel path onto small fixtures.
-func SetSweepParallelThreshold(pairs int) {
-	if pairs <= 0 {
-		pairs = defaultSweepMinWork
-	}
-	sweepMinWork = pairs
-}
-
-// forEachCluster runs fn(idx) for every idx in [0, n) with the per-agent
-// parallelism settings (falling back to the process-wide defaults), fanning
-// the calls over the worker pool when the estimated work (in candidate x
-// cluster pairs) clears the threshold. fn must touch only per-idx state:
-// each cluster's scheduler is owned by exactly one worker for the duration
-// of the call, and results land in per-idx slots.
+// forEachCluster runs fn(idx) for every idx in [0, n) with the run's
+// parallelism settings (ReallocConfig.SweepWorkers, defaulting to GOMAXPROCS,
+// and ReallocConfig.SweepThreshold, defaulting to defaultSweepMinWork),
+// fanning the calls over the worker pool when the estimated work (in
+// candidate x cluster pairs) clears the threshold. fn must touch only per-idx
+// state: each cluster's scheduler is owned by exactly one worker for the
+// duration of the call, and results land in per-idx slots.
 //
 //gridlint:worker
 func (a *Agent) forEachCluster(n, work int, fn func(idx int)) {
 	workers, minWork := a.realloc.SweepWorkers, a.realloc.SweepThreshold
 	if workers <= 0 {
-		workers = sweepWorkers
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if minWork <= 0 {
-		minWork = sweepMinWork
+		minWork = defaultSweepMinWork
 	}
 	forEachClusterWith(workers, minWork, n, work, fn)
 }
 
 // forEachClusterWith is forEachCluster with explicit parallelism settings;
-// taking them as parameters (instead of reading the package globals inside)
-// lets concurrent simulation runs — the fuzz harness fans whole scenarios
-// over a worker pool — use different sweep parallelism without racing on
-// shared state.
+// taking them as parameters lets concurrent simulation runs — the fuzz
+// harness fans whole scenarios over a worker pool — use different sweep
+// parallelism without sharing any state.
 //
 //gridlint:worker
 func forEachClusterWith(workers, minWork, n, work int, fn func(idx int)) {

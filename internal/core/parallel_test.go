@@ -13,17 +13,10 @@ import (
 	"gridrealloc/internal/platform"
 )
 
-// forceParallelSweep fans every sweep out over the given worker count for
-// the duration of the test, regardless of sweep size, and restores the
-// defaults afterwards.
-func forceParallelSweep(t *testing.T, workers int) {
-	t.Helper()
-	SetSweepParallelism(workers)
-	SetSweepParallelThreshold(1)
-	t.Cleanup(func() {
-		SetSweepParallelism(0)
-		SetSweepParallelThreshold(0)
-	})
+// parallelRealloc is the outage tests' Algorithm 2 configuration with the
+// sweep fan-out forced on for every sweep size.
+func parallelRealloc() ReallocConfig {
+	return ReallocConfig{Algorithm: WithCancellation, Heuristic: MinMin(), Period: 120, SweepWorkers: 8, SweepThreshold: 1}
 }
 
 // outagePlatform is the small two-cluster platform with an unannounced
@@ -47,14 +40,13 @@ func outagePlatform() platform.Platform {
 // touch shared state: every scheduler is owned by exactly one worker per
 // sweep stage and every result lands in a per-cluster slot.
 func TestParallelSweepUnderOutageReveals(t *testing.T) {
-	forceParallelSweep(t, 8)
 	trace := burstTrace(t, 80)
 	for _, policy := range []batch.OutagePolicy{batch.KillDisplaced, batch.RequeueDisplaced} {
 		res := runSim(t, Config{
 			Platform:     outagePlatform(),
 			Policy:       batch.CBF,
 			Trace:        trace,
-			Realloc:      ReallocConfig{Algorithm: WithCancellation, Heuristic: MinMin(), Period: 120},
+			Realloc:      parallelRealloc(),
 			OutagePolicy: policy,
 		})
 		if res.CompletedJobs() == 0 {
@@ -72,19 +64,19 @@ func TestParallelSweepUnderOutageReveals(t *testing.T) {
 // covers the full grid; this in-package variant gives the fast signal.
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	trace := burstTrace(t, 80)
-	run := func() *Result {
+	run := func(realloc ReallocConfig) *Result {
 		return runSim(t, Config{
 			Platform:     outagePlatform(),
 			Policy:       batch.CBF,
 			Trace:        trace,
-			Realloc:      ReallocConfig{Algorithm: WithCancellation, Heuristic: MinMin(), Period: 120},
+			Realloc:      realloc,
 			OutagePolicy: batch.RequeueDisplaced,
 		})
 	}
-	SetSweepParallelism(1)
-	seq := run()
-	forceParallelSweep(t, 8)
-	par := run()
+	sequential := parallelRealloc()
+	sequential.SweepWorkers = 1
+	seq := run(sequential)
+	par := run(parallelRealloc())
 	if seq.Makespan != par.Makespan || seq.TotalReallocations != par.TotalReallocations {
 		t.Fatalf("run-level divergence: sequential makespan=%d moves=%d, parallel makespan=%d moves=%d",
 			seq.Makespan, seq.TotalReallocations, par.Makespan, par.TotalReallocations)

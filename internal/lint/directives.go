@@ -16,9 +16,8 @@ import (
 //
 //   - unknown directive words (anything not in KnownDirectives);
 //   - suppression directives without a justification — keep-across-reset,
-//     allow-retain, unordered-ok and ref-transferred each carry a reason in
-//     prose after the word, and an empty reason defeats the review value of
-//     the annotation.
+//     allow-retain and unordered-ok each carry a reason in prose after the
+//     word, and an empty reason defeats the review value of the annotation.
 var Directives = &Analyzer{
 	Name: "directives",
 	Doc: "reject unknown //gridlint: directive words and suppression " +
@@ -29,10 +28,9 @@ var Directives = &Analyzer{
 // suppressionNeedsReason is the subset of directives whose trailing prose
 // is mandatory.
 var suppressionNeedsReason = map[string]bool{
-	DirKeepAcrossRst:  true,
-	DirAllowRetain:    true,
-	DirUnorderedOK:    true,
-	DirRefTransferred: true,
+	DirKeepAcrossRst: true,
+	DirAllowRetain:   true,
+	DirUnorderedOK:   true,
 }
 
 func runDirectives(pass *Pass) error {

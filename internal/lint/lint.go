@@ -15,6 +15,10 @@
 //
 // # Analyzers
 //
+// The suite holds six analyzers, listed in run order by Analyzers.
+//
+//   - directives: rejects unknown //gridlint: words and suppression
+//     directives that carry no justification.
 //   - resetcomplete: every field of a type marked //gridlint:resettable
 //     must be re-initialised by its Reset/reset method (directly, via a
 //     helper method, or in place through a call) or carry an explicit
@@ -37,6 +41,9 @@
 //     with //gridlint:unordered-ok), and package-level variables of types
 //     marked //gridlint:stateful (per-run state such as mapping policies
 //     must not be shared across runs).
+//   - sweepowner: inside a //gridlint:worker callback, a
+//     //gridlint:cluster-indexed slice may only be indexed by the cluster
+//     the worker owns, so the parallel sweep stays race-free.
 package lint
 
 import (
@@ -114,9 +121,6 @@ const (
 	DirStateful       = "stateful"
 	DirWorker         = "worker"
 	DirClusterIndexed = "cluster-indexed"
-	DirRefAcquire     = "ref-acquire"
-	DirRefRelease     = "ref-release"
-	DirRefTransferred = "ref-transferred"
 )
 
 // KnownDirectives is the complete set of directive words the suite
@@ -133,9 +137,6 @@ var KnownDirectives = map[string]bool{
 	DirStateful:       true,
 	DirWorker:         true,
 	DirClusterIndexed: true,
-	DirRefAcquire:     true,
-	DirRefRelease:     true,
-	DirRefTransferred: true,
 }
 
 // SuppressionDirectives are the directives that silence another analyzer's
@@ -145,7 +146,6 @@ var SuppressionDirectives = []string{
 	DirKeepAcrossRst,
 	DirAllowRetain,
 	DirUnorderedOK,
-	DirRefTransferred,
 }
 
 // CountSuppressions tallies, per directive word, how many suppression
@@ -265,7 +265,6 @@ func Analyzers() []*Analyzer {
 		PoolLife,
 		Determinism,
 		SweepOwner,
-		RefBalance,
 	}
 }
 

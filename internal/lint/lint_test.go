@@ -37,10 +37,6 @@ func TestSweepOwnerFixture(t *testing.T) {
 	RunFixture(t, fixtureRoot(t), []*Analyzer{SweepOwner}, "sweepowner")
 }
 
-func TestRefBalanceFixture(t *testing.T) {
-	RunFixture(t, fixtureRoot(t), []*Analyzer{RefBalance}, "refbalance")
-}
-
 // TestDirectivesFixture checks the directives validation pass directly:
 // its diagnostics anchor on the directive comments themselves, where the
 // `// want` convention cannot follow (a line holds one comment), so the

@@ -7,8 +7,7 @@ import (
 
 // PoolLife enforces the bounded lifetime of pooled buffers. A function
 // marked //gridlint:pooled hands out memory it will overwrite later (the
-// scheduler's Advance notification slice, plan buffers from the profile
-// pool, entries from the free lists); a caller may read the result and
+// scheduler's Advance notification slice); a caller may read the result and
 // copy out of it, but must not retain the reference itself. The analyzer
 // tracks locals initialised from pooled calls (and locals they are
 // re-assigned to) inside each function and flags:

@@ -20,7 +20,7 @@ import (
 // per CPU), not reach the pool construction as a literal count.
 func TestNegativeWorkersClamped(t *testing.T) {
 	for _, w := range []int{-1, -8} {
-		out, err := runner.Run(8, runner.Options{Workers: w}, func(i int, _ *core.Simulator) (int, error) {
+		out, _, err := runner.RunCtx(context.Background(), 8, runner.Options{Workers: w}, func(_ context.Context, i int, _ *core.Simulator) (int, error) {
 			return i + 1, nil
 		})
 		if err != nil {

@@ -503,26 +503,9 @@ func StreamCtx[T any](ctx context.Context, n int, opts Options, fn TaskFunc[T], 
 	return finish()
 }
 
-// Stream is StreamCtx without cancellation: a background context and a task
-// function that does not observe one. It preserves the pre-context
-// signature; campaigns that want deadlines, retries or cancellation use
-// StreamCtx.
-//
-//gridlint:worker
-func Stream[T any](n int, opts Options, fn func(i int, sim *core.Simulator) (T, error), emit func(i int, v T, err error)) {
-	StreamCtx(context.Background(), n, opts, dropCtx(fn), emit)
-}
-
-// dropCtx adapts a context-free task function to TaskFunc.
-func dropCtx[T any](fn func(i int, sim *core.Simulator) (T, error)) TaskFunc[T] {
-	return func(_ context.Context, i int, sim *core.Simulator) (T, error) {
-		return fn(i, sim)
-	}
-}
-
 // FirstError folds streamed task outcomes into the runner's deterministic
 // error convention: the lowest-index failure wins, independent of worker
-// count and completion order. Stream callers that aggregate results
+// count and completion order. StreamCtx callers that aggregate results
 // themselves feed every outcome through Observe and read Err at the end,
 // so the convention lives in one place. FirstError is safe for concurrent
 // use: Observe may be called from multiple goroutines (signal handlers,
@@ -586,10 +569,4 @@ func RunCtx[T any](ctx context.Context, n int, opts Options, fn TaskFunc[T]) ([]
 			stats.Completed+stats.Failed, n, cerr)
 	}
 	return out, stats, nil
-}
-
-// Run is RunCtx without cancellation, preserving the pre-context signature.
-func Run[T any](n int, opts Options, fn func(i int, sim *core.Simulator) (T, error)) ([]T, error) {
-	out, _, err := RunCtx(context.Background(), n, opts, dropCtx(fn))
-	return out, err
 }

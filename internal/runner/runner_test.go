@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,14 +13,14 @@ import (
 	"gridrealloc/internal/runner"
 )
 
-// TestRunCollectsInIndexOrder checks that Run returns results indexed like
+// TestRunCollectsInIndexOrder checks that RunCtx returns results indexed like
 // the tasks regardless of worker count, and that workers actually reuse one
 // simulator across tasks.
 func TestRunCollectsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		sims := make(map[*core.Simulator]int)
-		out, err := runner.Run(16, runner.Options{Workers: workers}, func(i int, sim *core.Simulator) (int, error) {
+		out, _, err := runner.RunCtx(context.Background(), 16, runner.Options{Workers: workers}, func(_ context.Context, i int, sim *core.Simulator) (int, error) {
 			mu.Lock()
 			sims[sim]++
 			mu.Unlock()
@@ -53,7 +54,7 @@ func TestRunReportsLowestIndexError(t *testing.T) {
 	sentinel := errors.New("boom")
 	ran := make([]bool, 32)
 	var mu sync.Mutex
-	out, err := runner.Run(32, runner.Options{Workers: 8}, func(i int, _ *core.Simulator) (int, error) {
+	out, _, err := runner.RunCtx(context.Background(), 32, runner.Options{Workers: 8}, func(_ context.Context, i int, _ *core.Simulator) (int, error) {
 		mu.Lock()
 		ran[i] = true
 		mu.Unlock()
@@ -82,7 +83,7 @@ func TestRunReportsLowestIndexError(t *testing.T) {
 // emit per task.
 func TestStreamEmitsEveryTaskOnce(t *testing.T) {
 	seen := make(map[int]int)
-	runner.Stream(20, runner.Options{Workers: 5}, func(i int, _ *core.Simulator) (int, error) {
+	_, err := runner.StreamCtx(context.Background(), 20, runner.Options{Workers: 5}, func(_ context.Context, i int, _ *core.Simulator) (int, error) {
 		return i, nil
 	}, func(i int, v int, err error) {
 		if err != nil || v != i {
@@ -90,6 +91,9 @@ func TestStreamEmitsEveryTaskOnce(t *testing.T) {
 		}
 		seen[i]++ // emit is serialized; no lock needed
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != 20 {
 		t.Fatalf("emitted %d of 20 tasks", len(seen))
 	}
@@ -107,7 +111,7 @@ func TestStreamEmitsEveryTaskOnce(t *testing.T) {
 // -race CI job exercises the fan-out and the reuse path together.
 func TestParallelPooledDigestsMatchSequentialFresh(t *testing.T) {
 	const n = 6
-	run := func(i int, sim *core.Simulator) (string, error) {
+	run := func(_ context.Context, i int, sim *core.Simulator) (string, error) {
 		spec := harness.Generate(uint64(1000 + i))
 		cfg, err := harness.OracleConfig(spec, 1, false)
 		if err != nil {
@@ -121,14 +125,14 @@ func TestParallelPooledDigestsMatchSequentialFresh(t *testing.T) {
 	}
 	fresh := make([]string, n)
 	for i := range fresh {
-		d, err := run(i, core.NewSimulator())
+		d, err := run(context.Background(), i, core.NewSimulator())
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh[i] = d
 	}
 	for _, workers := range []int{2, runtime.GOMAXPROCS(0) + 2} {
-		pooled, err := runner.Run(n, runner.Options{Workers: workers}, run)
+		pooled, _, err := runner.RunCtx(context.Background(), n, runner.Options{Workers: workers}, run)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -89,20 +89,10 @@ func (s *Server) EstimateCompletion(j workload.Job, now int64) (ect int64, ok bo
 	return s.sched.TryEstimateCompletion(j, now)
 }
 
-// EstimateSnapshot returns a detached snapshot of the cluster's planned
-// availability at time now. The meta-scheduler takes one snapshot per
-// cluster per reallocation sweep and reuses it across every candidate job
-// instead of issuing one EstimateCompletion request per (job, cluster) pair.
-//
-//gridlint:ref-acquire
-func (s *Server) EstimateSnapshot(now int64) (*batch.EstimateSnapshot, error) {
-	return s.sched.EstimateSnapshot(now)
-}
-
-// EstimateSnapshotInto refreshes a caller-owned snapshot in place,
-// avoiding the allocation of EstimateSnapshot on the sweep hot path.
-//
-//gridlint:ref-acquire
+// EstimateSnapshotInto points a caller-owned snapshot at the cluster's plan
+// at time now. The meta-scheduler takes one snapshot per cluster per
+// reallocation sweep and reuses it across every candidate job instead of
+// issuing one EstimateCompletion request per (job, cluster) pair.
 func (s *Server) EstimateSnapshotInto(sn *batch.EstimateSnapshot, now int64) error {
 	return s.sched.EstimateSnapshotInto(sn, now)
 }
@@ -129,8 +119,8 @@ type RequestLoad struct {
 	Submissions   int64
 	Cancellations int64
 	ECTQueries    int64
-	// SnapshotHits is the number of ECT queries answered from a detached
-	// per-sweep snapshot rather than a direct scheduler consultation.
+	// SnapshotHits is the number of ECT queries answered from a per-sweep
+	// snapshot rather than a direct scheduler consultation.
 	SnapshotHits int64
 	// PlanRebuilds and PlanReuses count, respectively, full re-plans of the
 	// waiting queue and observations served from the cached plan.

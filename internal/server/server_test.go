@@ -35,6 +35,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestResetAndSubmitErrors checks the two error paths that must not be
+// dressed up as ErrCannotRun: an invalid spec on Reset, and a rejected
+// submission for a job that does fit.
+func TestResetAndSubmitErrors(t *testing.T) {
+	s := newServer(t, 4, 1.0, batch.FCFS)
+	if err := s.Reset(platform.ClusterSpec{Name: "front", Cores: 0, Speed: 1}, batch.FCFS); err == nil {
+		t.Fatal("Reset accepted an invalid spec")
+	}
+	if err := s.Submit(job(1, 100, 1000, 4), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Submit(job(1, 100, 1000, 4), 0, 0)
+	if !errors.Is(err, batch.ErrDuplicateJob) || errors.Is(err, ErrCannotRun) {
+		t.Fatalf("duplicate submit: err = %v, want ErrDuplicateJob only", err)
+	}
+}
+
 func TestSubmitCancelRoundTrip(t *testing.T) {
 	s := newServer(t, 4, 1.0, batch.FCFS)
 	if err := s.Submit(job(1, 100, 1000, 4), 0, 0); err != nil {
@@ -93,11 +110,11 @@ func TestEstimateCompletionOkFlag(t *testing.T) {
 
 func TestEstimateSnapshotForwarding(t *testing.T) {
 	s := newServer(t, 4, 2.0, batch.FCFS)
-	sn, err := s.EstimateSnapshot(0)
-	if err != nil {
+	var sn batch.EstimateSnapshot
+	if err := s.EstimateSnapshotInto(&sn, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The detached snapshot must agree with the live estimate.
+	// The snapshot must agree with the live estimate.
 	live, ok := s.EstimateCompletion(job(1, 100, 600, 4), 0)
 	if !ok {
 		t.Fatal("live estimate failed on an empty cluster")
