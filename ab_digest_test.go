@@ -9,10 +9,8 @@ package gridrealloc_test
 //
 // The digest is sensitive to every job's start, completion, cluster,
 // reallocation count and kill flag, plus the run-level makespan and
-// reallocation totals. It is NOT asserted against a committed constant:
-// trace-generator changes legitimately shift it (and are recorded in
-// CHANGES.md); the harness exists so such shifts are deliberate, observable
-// and attributable.
+// reallocation totals. It is asserted against abDigest, the fixed point
+// every optimisation of the simulator must preserve.
 
 import (
 	"crypto/sha256"
@@ -55,6 +53,12 @@ func abConfigs() []gridrealloc.ScenarioConfig {
 	return out
 }
 
+// abDigest is the committed digest of the 72-configuration grid. Only a
+// change that legitimately moves simulation outcomes (a trace-generator or
+// model change, never an optimisation) may update it, and the update must
+// be recorded in CHANGES.md with its reason.
+const abDigest = "fcd059c381436fe4e23d3432722f2820c3d707aa68a7b60790323222383ca9de"
+
 // digestResult folds one run's observable outcome into the hash.
 func digestResult(h interface{ Write(p []byte) (int, error) }, cfg gridrealloc.ScenarioConfig, res *gridrealloc.Result) {
 	fmt.Fprintf(h, "cfg %s/%s/%s/%s/%s\n", cfg.Scenario, cfg.Heterogeneity, cfg.Policy, cfg.Algorithm, cfg.Heuristic)
@@ -66,10 +70,9 @@ func digestResult(h interface{ Write(p []byte) (int, error) }, cfg gridrealloc.S
 }
 
 // TestABDigest runs the grid through the campaign runner (pooled simulators,
-// one worker per CPU) and logs the digest, folded in configuration order so
-// the value is independent of completion order and worker count. It fails
-// only when a simulation errors; digest comparison is done by the human (or
-// CI job) diffing the logged value across two builds.
+// one worker per CPU), folds the digest in configuration order so the value
+// is independent of completion order and worker count, and checks it
+// against abDigest.
 func TestABDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("A/B digest replays 72 simulations")
@@ -83,5 +86,9 @@ func TestABDigest(t *testing.T) {
 	for i, cfg := range cfgs {
 		digestResult(h, cfg, results[i])
 	}
-	t.Logf("A/B digest over %d configurations: %s", len(cfgs), hex.EncodeToString(h.Sum(nil)))
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("A/B digest over %d configurations: %s", len(cfgs), got)
+	if got != abDigest {
+		t.Fatalf("A/B digest moved:\n got  %s\n want %s", got, abDigest)
+	}
 }

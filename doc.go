@@ -57,8 +57,18 @@
 // run's result digest is folded into an order-independent accumulator
 // (sim.DigestAcc) at the instant each record finalizes, so campaign digests
 // need no post-pass over the records. The meta-scheduler takes one
-// availability snapshot per cluster per reallocation sweep and reuses it
-// across all candidate jobs and heuristics. A from-scratch reference
+// availability snapshot per cluster per reallocation sweep and evaluates
+// its ECT matrix lazily: each cluster column carries a version bumped when
+// the sweep mutates that cluster, and a stale cell is re-queried only when
+// the heuristic reads it. MCT queries only the row of the job it places
+// (n*m queries per pass instead of O(n^2)); under Algorithm 2, and for
+// Algorithm 1's move destinations, a column's ECTs can only rise, so stale
+// cells are lower bounds — MinMin picks from a lazy min-heap and the
+// scanning heuristics (which declare the estimate fields they read)
+// re-query a row only when a field they read depends on the touched
+// cluster. Custom heuristics see fully materialised
+// estimates, and every built-in agrees bit for bit with that eager path
+// (TestABDigestLazyECT and the fuzz oracle). A from-scratch reference
 // implementation remains available behind the explicit invalidation hooks;
 // GRIDREALLOC_DEBUG_PROFILE=1 cross-checks the incremental state against it
 // on every re-plan. BENCH_batch.json is the committed baseline of the hot
@@ -77,9 +87,11 @@
 // since it was taken re-takes it first, so a view always answers for the
 // cluster's current state — the paper's middleware only ever asks for the
 // current estimate. Second, the deterministic merge: a reallocation sweep
-// may fan per-cluster snapshotting and estimation over a bounded worker
-// pool (ReallocConfig.SweepWorkers and SweepThreshold, set per run), and
-// correctness relies on each worker touching exactly one cluster's
+// may fan per-cluster snapshotting and the initial fill of the ECT matrix
+// (every heuristic but MCT needs each row's minimum before its first pick)
+// over a bounded worker pool (ReallocConfig.SweepWorkers and
+// SweepThreshold, set per run); the lazy re-queries after each move run on
+// the sweep's goroutine. The fan-out's correctness relies on each worker touching exactly one cluster's
 // scheduler and writing only per-cluster result slots, so the merged
 // outcome is bit-identical to the sequential sweep regardless of
 // scheduling order (verified across the 72-configuration digest grid by

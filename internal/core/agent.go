@@ -137,7 +137,7 @@ type Agent struct {
 	sorter      candidateOrderSorter //gridlint:keep-across-reset stateless sort scratch
 
 	// Scratch buffers reused across reallocation passes, so a sweep's
-	// bookkeeping (candidate gathering, the ECT matrix, the estimate slice)
+	// bookkeeping (candidate gathering, the ECT matrix, the estimates)
 	// allocates only when the platform outgrows every previous pass.
 	//gridlint:cluster-indexed
 	scratchWaiting       [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
@@ -146,15 +146,7 @@ type Agent struct {
 	scratchSortedCands   []Candidate          //gridlint:keep-across-reset capacity only, truncated before use
 	scratchSortedOrigins []int                //gridlint:keep-across-reset capacity only, truncated before use
 	scratchOrder         []int                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchEsts          []Estimate           //gridlint:keep-across-reset capacity only, truncated before use
-	//gridlint:cluster-indexed
-	scratchSnaps    []batch.EstimateSnapshot //gridlint:keep-across-reset capacity only, refreshed before use
-	scratchECTs     []int64                  //gridlint:keep-across-reset capacity only, truncated before use
-	scratchRows     [][]int64                //gridlint:keep-across-reset capacity only, truncated before use
-	scratchWalls    []int64                  //gridlint:keep-across-reset capacity only, truncated before use
-	scratchWallRows [][]int64                //gridlint:keep-across-reset capacity only, truncated before use
-	//gridlint:cluster-indexed
-	scratchErrs []error //gridlint:keep-across-reset capacity only, truncated before use
+	sweep                sweep                //gridlint:keep-across-reset buffers only; newSweep re-arms every field before use
 }
 
 // NewAgent builds an agent over the given servers. Mapping defaults to MCT
@@ -377,226 +369,148 @@ func (s *candidateOrderSorter) Swap(x, y int) {
 	s.order[x], s.order[y] = s.order[y], s.order[x]
 }
 
-// sweep is the per-pass estimation state: one availability snapshot per
-// cluster, taken once and reused across every candidate job and every
-// heuristic iteration, plus the ECT matrix derived from the snapshots.
-// After a migration only the two touched clusters are re-snapshotted and
-// only their matrix columns recomputed, so a pass over n candidates and m
-// clusters costs O(n*m) slot searches up front plus O(n) per move instead
-// of O(n*m) per move.
-type sweep struct {
-	a   *Agent
-	now int64
-	//gridlint:cluster-indexed
-	snaps []batch.EstimateSnapshot // one per cluster, refreshed in place
-	ects  [][]int64                // [candidate][cluster]; NoEstimate when unavailable
-	// walls caches each candidate's scaled walltime per cluster (0 = not
-	// yet computed): a column refresh after a move re-estimates every
-	// remaining candidate, and the reservation length does not change.
-	walls [][]int64
-}
-
-// newSweep snapshots every cluster and fills the ECT matrix for the given
-// candidates. The matrix backing is one flat allocation (reused across
-// passes), and the per-cluster work — one snapshot plus that cluster's
-// matrix column — is fanned over the bounded worker pool on sweeps large
-// enough to pay for it. Each worker touches exactly one cluster's scheduler
-// and writes only its own column and error slot, so the merged result is
-// bit-identical to the sequential sweep regardless of scheduling order;
-// errors are surfaced in platform order for the same reason.
-func (a *Agent) newSweep(now int64, cands []Candidate) (*sweep, error) {
-	n, m := len(cands), len(a.servers)
-	if cap(a.scratchSnaps) < m {
-		a.scratchSnaps = make([]batch.EstimateSnapshot, m)
-		a.scratchErrs = make([]error, m)
-	}
-	if cap(a.scratchECTs) < n*m {
-		a.scratchECTs = make([]int64, n*m)
-		a.scratchWalls = make([]int64, n*m)
-	}
-	if cap(a.scratchRows) < n {
-		a.scratchRows = make([][]int64, n)
-		a.scratchWallRows = make([][]int64, n)
-	}
-	sw := &sweep{
-		a:     a,
-		now:   now,
-		snaps: a.scratchSnaps[:m],
-		ects:  a.scratchRows[:n],
-		walls: a.scratchWallRows[:n],
-	}
-	flat := a.scratchECTs[:n*m]
-	flatW := a.scratchWalls[:n*m]
-	for i := range flatW {
-		flatW[i] = 0
-	}
-	for i := range sw.ects {
-		sw.ects[i] = flat[i*m : (i+1)*m : (i+1)*m]
-		sw.walls[i] = flatW[i*m : (i+1)*m : (i+1)*m]
-	}
-	errs := a.scratchErrs[:m]
-	a.forEachCluster(m, n*m, func(idx int) {
-		if err := a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], now); err != nil {
-			errs[idx] = err
-			return
-		}
-		errs[idx] = nil
-		for i := range cands {
-			sw.ects[i][idx] = sw.query(i, idx, cands[i].Job)
-		}
-	})
-	for idx, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshotting %s: %w", a.servers[idx].Name(), err)
-		}
-	}
-	return sw, nil
-}
-
-// query answers one (job, cluster) ECT from the cluster's snapshot,
-// returning NoEstimate when the job can never run there. A snapshot whose
-// plan changed under it — which only happens when a capacity event fires at
-// the sweep instant, as the sweep itself refreshes the clusters it mutates —
-// re-takes itself on the query, so estimates never reflect capacity the
-// cluster lost.
-func (sw *sweep) query(i, idx int, j workload.Job) int64 {
-	wall := sw.walls[i][idx]
-	if wall == 0 {
-		wall = sw.snaps[idx].ScaledWalltime(j)
-		sw.walls[i][idx] = wall
-	}
-	ect, ok := sw.snaps[idx].TryEstimateCompletionScaled(j.Procs, wall)
-	if !ok {
-		return NoEstimate
-	}
-	return ect
-}
-
-// refreshCluster re-snapshots one cluster (whose queue just changed) and
-// recomputes its matrix column for the remaining candidates.
-func (sw *sweep) refreshCluster(idx int, cands []Candidate) error {
-	if err := sw.a.servers[idx].EstimateSnapshotInto(&sw.snaps[idx], sw.now); err != nil {
-		return fmt.Errorf("core: snapshotting %s: %w", sw.a.servers[idx].Name(), err)
-	}
-	for i := range cands {
-		sw.ects[i][idx] = sw.query(i, idx, cands[i].Job)
-	}
-	return nil
-}
-
-// remove drops the candidate's matrix and wall-cache rows, mirroring the
-// caller's removal from the candidate slice.
-func (sw *sweep) remove(i int) {
-	sw.ects = append(sw.ects[:i], sw.ects[i+1:]...)
-	sw.walls = append(sw.walls[:i], sw.walls[i+1:]...)
-}
-
-// estimate builds the Estimate for one candidate from its matrix row. When
-// hypothetical is true, the origin cluster is treated like any other cluster
-// (the job is no longer queued there, as in Algorithm 2); otherwise the
-// origin cluster contributes originECT, the job's current planned
-// completion.
-func (sw *sweep) estimate(i, origin int, originECT int64, hypothetical bool) Estimate {
-	est := Estimate{BestECT: NoEstimate, SecondECT: NoEstimate, BestOtherECT: NoEstimate}
-	for idx, s := range sw.a.servers {
-		ect := sw.ects[i][idx]
-		other := idx != origin
-		if idx == origin && !hypothetical {
-			ect = originECT
-		}
-		if ect == NoEstimate {
-			continue
-		}
-		if ect < est.BestECT {
-			est.SecondECT = est.BestECT
-			est.BestECT = ect
-			est.BestCluster = s.Name()
-		} else if ect < est.SecondECT {
-			est.SecondECT = ect
-		}
-		if other && ect < est.BestOtherECT {
-			est.BestOtherECT = ect
-			est.BestOtherCluster = s.Name()
-		}
-	}
-	return est
-}
-
 // reallocateWithoutCancellation implements Algorithm 1 of the paper.
+//
+// A move cancels the job on its origin, which can lower that cluster's
+// ECTs, and appends it to its destination's queue, which can only raise
+// that cluster's. So after a move the origin column is re-queried for every
+// remaining candidate that reads it, while the destination column's stale
+// cells stay lower bounds. MinMin's heap needs every stale cell to be a
+// lower bound, so here MinMin scans like the other heuristics.
 func (a *Agent) reallocateWithoutCancellation(now int64, totalWaiting int) (int, error) {
 	cands, origins := a.gatherCandidates(totalWaiting)
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	sw, err := a.newSweep(now, cands)
+	reads := readsOf(a.realloc.Heuristic)
+	sw, err := a.newSweep(now, cands, false, reads != readsOrder)
 	if err != nil {
 		return 0, err
 	}
-	if cap(a.scratchEsts) < len(cands) {
-		a.scratchEsts = make([]Estimate, len(cands))
+	if reads == readsOrder {
+		return a.moveInOrder(sw, cands, origins)
 	}
-	ests := a.scratchEsts[:len(cands)]
-	for i := range cands {
-		ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, false)
+	return a.moveBySelect(sw, cands, origins, reads)
+}
+
+// moveInOrder is Algorithm 1 under MCT: candidates are handled in
+// submission order, the order gatherCandidates sorted them in, and only the
+// handled candidate's row is queried.
+func (a *Agent) moveInOrder(sw *sweep, cands []Candidate, origins []int) (int, error) {
+	moves := 0
+	for p, c := range cands {
+		var est Estimate
+		sw.materialise(p, c.Job, origins[p])
+		sw.settle(&est, p, c.Job, origins[p], c.OriginECT, 2)
+		dest, err := a.tryMove(c, origins[p], est, sw.now)
+		if err != nil {
+			return moves, err
+		}
+		if dest < 0 {
+			continue
+		}
+		moves++
+		if p+1 < len(cands) {
+			if err := a.afterMove(sw, cands[p+1:], origins[p+1:], origins[p], dest); err != nil {
+				return moves, err
+			}
+		}
+	}
+	return moves, nil
+}
+
+// moveBySelect is Algorithm 1 under a heuristic that reads estimates: the
+// estimate fields the heuristic reads are kept exact for Select. A
+// heuristic that declares no reads has every stale cell re-queried after
+// each move, as an eager sweep would; otherwise only the origin column is,
+// and settle re-queries a destination cell only when a read field depends
+// on it.
+func (a *Agent) moveBySelect(sw *sweep, cands []Candidate, origins []int, reads ectReads) (int, error) {
+	order, ests, need := sw.order, sw.ests, reads.need()
+	for p, c := range cands {
+		order[p] = p
+		sw.settle(&ests[p], p, c.Job, origins[p], c.OriginECT, need)
 	}
 	moves := 0
 	for len(cands) > 0 {
 		pick := a.realloc.Heuristic.Select(cands, ests)
 		c, origin := cands[pick], origins[pick]
+		// The move reads BestOtherECT whatever Select read.
 		est := ests[pick]
-
-		moved := false
-		destIdx := -1
-		if est.BestOtherECT != NoEstimate && est.BestOtherECT+a.realloc.MinGain < c.OriginECT {
-			var ok bool
-			destIdx, ok = a.byName[est.BestOtherCluster]
-			if !ok {
-				return moves, fmt.Errorf("core: unknown destination cluster %q", est.BestOtherCluster)
-			}
-			switch err := a.moveJob(c, origin, destIdx, now); {
-			case err == nil:
-				moves++
-				moved = true
-			case errors.Is(err, batch.ErrJobRunning):
-				// The job started between the queue snapshot and the cancel;
-				// it is no longer a candidate. Skip it, keep the sweep going.
-				a.skippedRaces++
-			default:
-				return moves, err
-			}
+		sw.settle(&est, order[pick], c.Job, origin, c.OriginECT, 2)
+		dest, err := a.tryMove(c, origin, est, sw.now)
+		if err != nil {
+			return moves, err
 		}
-
-		// Drop the handled candidate.
 		cands = append(cands[:pick], cands[pick+1:]...)
 		origins = append(origins[:pick], origins[pick+1:]...)
 		ests = append(ests[:pick], ests[pick+1:]...)
-		sw.remove(pick)
-
-		// A migration changes exactly two clusters' queues; refresh their
-		// snapshots and matrix columns and rebuild the estimates. Estimates
-		// against untouched clusters are reused from the matrix. When
-		// nothing moved, the platform state is unchanged and everything
-		// stays valid.
-		if moved && len(cands) > 0 {
-			if err := sw.refreshCluster(origin, cands); err != nil {
-				return moves, err
+		order = append(order[:pick], order[pick+1:]...)
+		if dest < 0 {
+			continue
+		}
+		moves++
+		if len(cands) == 0 {
+			break
+		}
+		if err := a.afterMove(sw, cands, origins, origin, dest); err != nil {
+			return moves, err
+		}
+		for i, c := range cands {
+			p := order[i]
+			if reads == 0 {
+				sw.materialise(p, c.Job, origins[i])
+			} else if origins[i] != origin {
+				sw.cell(p, origin, c.Job)
 			}
-			if err := sw.refreshCluster(destIdx, cands); err != nil {
-				return moves, err
-			}
-			for i := range cands {
-				// Only jobs queued on a touched cluster can have a changed
-				// planned completion.
-				if origins[i] == origin || origins[i] == destIdx {
-					if ect, err := a.servers[origins[i]].CurrentCompletion(cands[i].Job.ID); err == nil {
-						cands[i].OriginECT = ect
-					}
-				}
-				ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, false)
-			}
+			sw.settle(&ests[i], p, c.Job, origins[i], c.OriginECT, need)
 		}
 	}
 	return moves, nil
+}
+
+// tryMove applies Algorithm 1's rule to one candidate: move it to the best
+// other cluster when that beats its current planned completion by more than
+// MinGain. It returns the destination, or -1 when the job stays — no
+// sufficient gain, or it started since the gather (a race that skips the
+// candidate instead of aborting the pass).
+func (a *Agent) tryMove(c Candidate, origin int, est Estimate, now int64) (int, error) {
+	if est.BestOtherECT == NoEstimate || est.BestOtherECT+a.realloc.MinGain >= c.OriginECT {
+		return -1, nil
+	}
+	destIdx, ok := a.byName[est.BestOtherCluster]
+	if !ok {
+		return -1, fmt.Errorf("core: unknown destination cluster %q", est.BestOtherCluster)
+	}
+	switch err := a.moveJob(c, origin, destIdx, now); {
+	case err == nil:
+		return destIdx, nil
+	case errors.Is(err, batch.ErrJobRunning):
+		a.skippedRaces++
+		return -1, nil
+	default:
+		return -1, err
+	}
+}
+
+// afterMove refreshes the two clusters a move changed and the planned
+// completion of every remaining candidate queued on one of them; no other
+// candidate's planned completion can have changed.
+func (a *Agent) afterMove(sw *sweep, cands []Candidate, origins []int, origin, dest int) error {
+	if err := sw.refreshCluster(origin); err != nil {
+		return err
+	}
+	if err := sw.refreshCluster(dest); err != nil {
+		return err
+	}
+	for i := range cands {
+		if origins[i] == origin || origins[i] == dest {
+			if ect, err := a.servers[origins[i]].CurrentCompletion(cands[i].Job.ID); err == nil {
+				cands[i].OriginECT = ect
+			}
+		}
+	}
+	return nil
 }
 
 // moveJob cancels the job on its origin cluster and submits it to the
@@ -651,53 +565,157 @@ func (a *Agent) reallocateWithCancellation(now int64, totalWaiting int) (int, er
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	// Snapshot the emptied queues once; each placement below changes exactly
-	// one cluster, whose snapshot and matrix column are then refreshed.
-	sw, err := a.newSweep(now, cands)
+	// Snapshot the emptied queues once. Each placement below appends one job
+	// to one cluster's queue: the feasible set shrinks and FCFS's lower bound
+	// only grows, so that column's ECTs can only rise and every stale cell of
+	// the pass is a lower bound.
+	reads := readsOf(a.realloc.Heuristic)
+	sw, err := a.newSweep(now, cands, true, reads != readsOrder)
 	if err != nil {
 		return 0, err
 	}
-	moves := 0
-	if cap(a.scratchEsts) < len(cands) {
-		a.scratchEsts = make([]Estimate, len(cands))
+	switch {
+	case reads == readsOrder:
+		return a.placeInOrder(sw, cands, origins)
+	case reads&readsMin != 0:
+		return a.placeMinFirst(sw, cands, origins)
+	default:
+		return a.placeBySelect(sw, cands, origins, reads)
 	}
-	ests := a.scratchEsts[:len(cands)]
-	for len(cands) > 0 {
-		// The origin cluster answers hypothetically because the job is no
-		// longer queued there.
-		ests = ests[:len(cands)]
-		for i := range cands {
-			cands[i].OriginECT = sw.ects[i][origins[i]]
-			ests[i] = sw.estimate(i, origins[i], cands[i].OriginECT, true)
+}
+
+// placeInOrder is Algorithm 2 under MCT: candidates are placed in
+// submission order and only the placed candidate's row is queried, so a
+// pass costs n*m queries instead of the eager matrix's n*m plus one column
+// per placement.
+func (a *Agent) placeInOrder(sw *sweep, cands []Candidate, origins []int) (int, error) {
+	moves := 0
+	for p, c := range cands {
+		var est Estimate
+		sw.materialise(p, c.Job, origins[p])
+		sw.settle(&est, p, c.Job, origins[p], 0, 2)
+		dest, err := a.place(sw, c, origins[p], est, len(cands)-p-1)
+		if dest != origins[p] {
+			moves++
 		}
+		if err != nil {
+			return moves, err
+		}
+	}
+	return moves, nil
+}
+
+// placeMinFirst is Algorithm 2 under MinMin: a lazy min-heap of rows keyed
+// by their smallest entry, a lower bound of their BestECT. The root is
+// settled (its smallest entry made current); if its key no longer beats its
+// children it sinks and the new root is tried, otherwise its key is exact
+// and no other row's true key can be smaller, so it is exactly the
+// candidate MinMin's Select would pick.
+func (a *Agent) placeMinFirst(sw *sweep, cands []Candidate, origins []int) (int, error) {
+	h := sw.order
+	var est Estimate
+	for p, c := range cands {
+		h[p] = p
+		sw.settle(&est, p, c.Job, origins[p], 0, 1)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		sw.siftDown(h, i, cands)
+	}
+	moves := 0
+	for len(h) > 0 {
+		p := h[0]
+		sw.settle(&est, p, cands[p].Job, origins[p], 0, 1)
+		sw.siftDown(h, 0, cands)
+		if h[0] != p {
+			continue
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		sw.siftDown(h, 0, cands)
+		dest, err := a.place(sw, cands[p], origins[p], est, len(h))
+		if dest != origins[p] {
+			moves++
+		}
+		if err != nil {
+			return moves, err
+		}
+	}
+	return moves, nil
+}
+
+// placeBySelect is Algorithm 2 under a heuristic that scans every estimate:
+// the estimate fields (and OriginECT) the heuristic reads are kept exact for
+// Select. A heuristic that declares no reads has every stale cell
+// re-queried after each placement, as an eager sweep would; otherwise a row
+// is revisited only when the placement's cluster holds an entry a read
+// field depends on (see sweep.affected).
+func (a *Agent) placeBySelect(sw *sweep, cands []Candidate, origins []int, reads ectReads) (int, error) {
+	order, ests, need := sw.order, sw.ests, reads.need()
+	for p, c := range cands {
+		order[p] = p
+		sw.settle(&ests[p], p, c.Job, origins[p], 0, need)
+		cands[p].OriginECT = sw.cell(p, origins[p], c.Job)
+	}
+	moves := 0
+	for len(cands) > 0 {
 		pick := a.realloc.Heuristic.Select(cands, ests)
 		c, origin, est := cands[pick], origins[pick], ests[pick]
-
-		destIdx := origin
-		if est.BestCluster != "" {
-			if idx, ok := a.byName[est.BestCluster]; ok {
-				destIdx = idx
-			}
-		}
-		migrated := c.Reallocations
-		if destIdx != origin {
-			migrated++
-			moves++
-			a.totalReallocations++
-		}
-		if err := a.servers[destIdx].Submit(c.Job, now, migrated); err != nil {
-			return moves, fmt.Errorf("core: resubmitting job %d to %s: %w", c.Job.ID, a.servers[destIdx].Name(), err)
-		}
-		a.location[c.Job.ID] = destIdx
-
+		// The placement reads BestCluster whatever Select read.
+		sw.settle(&est, order[pick], c.Job, origin, 0, 1)
 		cands = append(cands[:pick], cands[pick+1:]...)
 		origins = append(origins[:pick], origins[pick+1:]...)
-		sw.remove(pick)
-		if len(cands) > 0 {
-			if err := sw.refreshCluster(destIdx, cands); err != nil {
-				return moves, err
+		ests = append(ests[:pick], ests[pick+1:]...)
+		order = append(order[:pick], order[pick+1:]...)
+		dest, err := a.place(sw, c, origin, est, len(cands))
+		if dest != origin {
+			moves++
+		}
+		if err != nil {
+			return moves, err
+		}
+		for i, c := range cands {
+			p := order[i]
+			switch {
+			case reads == 0:
+				sw.materialise(p, c.Job, origins[i])
+			case sw.affected(p, dest, origins[i], reads):
+				// A read field depends on the placement's cell, so settling
+				// would query it anyway.
+				sw.cell(p, dest, c.Job)
+			default:
+				continue
+			}
+			sw.settle(&ests[i], p, c.Job, origins[i], 0, need)
+			if reads == 0 || reads&readsOrigin != 0 {
+				cands[i].OriginECT = sw.cell(p, origins[i], c.Job)
 			}
 		}
 	}
 	return moves, nil
+}
+
+// place resubmits a cancelled candidate to the cluster of its minimum ECT —
+// its origin when no cluster can estimate it — and returns that cluster.
+// While remaining candidates need estimates, the cluster's column is
+// refreshed.
+func (a *Agent) place(sw *sweep, c Candidate, origin int, est Estimate, remaining int) (int, error) {
+	destIdx := origin
+	if est.BestCluster != "" {
+		if idx, ok := a.byName[est.BestCluster]; ok {
+			destIdx = idx
+		}
+	}
+	migrated := c.Reallocations
+	if destIdx != origin {
+		migrated++
+		a.totalReallocations++
+	}
+	if err := a.servers[destIdx].Submit(c.Job, sw.now, migrated); err != nil {
+		return destIdx, fmt.Errorf("core: resubmitting job %d to %s: %w", c.Job.ID, a.servers[destIdx].Name(), err)
+	}
+	a.location[c.Job.ID] = destIdx
+	if remaining == 0 {
+		return destIdx, nil
+	}
+	return destIdx, sw.refreshCluster(destIdx)
 }

@@ -78,6 +78,13 @@ func (e Estimate) Sufferage() int64 {
 // Heuristic orders the candidates of a reallocation pass. Implementations
 // must be deterministic: ties are expected to be broken by submission time
 // and then job ID, which the helper pickBest guarantees.
+//
+// A custom heuristic sees fully materialised estimates: before every Select
+// the sweep brings every candidate's estimate (and, under Algorithm 2, its
+// OriginECT) up to date with every move made so far in the pass, exactly as
+// if each cluster were re-queried after every mutation. The six built-in
+// heuristics declare which estimates they read, so the sweep evaluates only
+// those, with bit-identical results (see ectReads).
 type Heuristic interface {
 	// Name returns the identifier used in the paper's tables ("Mct",
 	// "MinMin", ...).
@@ -85,6 +92,52 @@ type Heuristic interface {
 	// Select returns the index (into cands) of the candidate to handle
 	// next. Both slices have the same length and are non-empty.
 	Select(cands []Candidate, ests []Estimate) int
+}
+
+// ectReads is what a built-in heuristic's Select reads, which bounds the
+// ECT-matrix cells a reallocation sweep must evaluate for it: a set of
+// estimate fields, plus the shape of the pick where the sweep can exploit
+// it. The zero value is the contract of a heuristic that declares nothing:
+// every estimate may be read, so every stale cell is re-queried before each
+// Select.
+type ectReads uint8
+
+const (
+	readsBest   ectReads = 1 << iota // Estimate.BestECT
+	readsSecond                      // Estimate.SecondECT
+	readsOther                       // Estimate.BestOtherECT
+	readsOrigin                      // Candidate.OriginECT
+	// readsOrder marks a Select that reads no estimate and handles the
+	// candidates in submission order (MCT): only the handled candidate's
+	// row is ever queried.
+	readsOrder
+	// readsMin marks a Select that picks the minimum BestECT (MinMin),
+	// which a lazy min-heap over lower bounds answers under Algorithm 2.
+	readsMin
+)
+
+// need is how many of a row's smallest entries must be current for the
+// fields r reads to be exact.
+func (r ectReads) need() int {
+	if r == 0 || r&(readsSecond|readsOther) != 0 {
+		return 2
+	}
+	return 1
+}
+
+// readsDeclarer is implemented by the built-in heuristics. It is unexported,
+// so a custom heuristic — or a built-in wrapped in another type — reads
+// everything.
+type readsDeclarer interface {
+	ectReads() ectReads
+}
+
+// readsOf returns what h's Select reads.
+func readsOf(h Heuristic) ectReads {
+	if d, ok := h.(readsDeclarer); ok {
+		return d.ectReads()
+	}
+	return 0
 }
 
 // The six heuristics of Section 2.2.2.
@@ -129,6 +182,13 @@ func (maxMinHeuristic) Name() string     { return "MaxMin" }
 func (maxGainHeuristic) Name() string    { return "MaxGain" }
 func (maxRelGainHeuristic) Name() string { return "MaxRelGain" }
 func (sufferageHeuristic) Name() string  { return "Sufferage" }
+
+func (mctHeuristic) ectReads() ectReads        { return readsOrder }
+func (minMinHeuristic) ectReads() ectReads     { return readsMin | readsBest }
+func (maxMinHeuristic) ectReads() ectReads     { return readsBest }
+func (maxGainHeuristic) ectReads() ectReads    { return readsOther | readsOrigin }
+func (maxRelGainHeuristic) ectReads() ectReads { return readsOther | readsOrigin }
+func (sufferageHeuristic) ectReads() ectReads  { return readsBest | readsSecond }
 
 // pickBest returns the index of the candidate with the highest score;
 // ties are broken by earliest submission time, then smallest job ID, so that

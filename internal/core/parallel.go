@@ -7,10 +7,10 @@ import (
 )
 
 // The reallocation sweep fans its per-cluster work — taking an
-// EstimateSnapshot and filling that cluster's column of the ECT matrix —
-// over a bounded worker pool. Every cluster's batch scheduler is an
-// independent object and every worker writes only to its own cluster's
-// slots, so the merge is order-independent and the results are bit-identical
+// EstimateSnapshot and, for every heuristic but MCT, the initial fill of
+// that cluster's column of the ECT matrix — over a bounded worker pool.
+// Every cluster's batch scheduler is an independent object and every worker
+// writes only to its own cluster's slots and column, so the merge is order-independent and the results are bit-identical
 // to the sequential loop; only wall-clock time changes. Tiny sweeps skip the
 // fan-out entirely: below the work threshold the goroutine handoff costs
 // more than the queries it would parallelise.

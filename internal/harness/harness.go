@@ -13,6 +13,9 @@
 //     threshold forced to 1) produces the same digest as one worker, and a
 //     run with invariant verification enabled the same digest as one
 //     without — the checks and the parallelism are behaviour-neutral;
+//   - lazy == eager: the run with its heuristic wrapped by EagerHeuristic,
+//     whose sweeps re-query every stale estimate before each Select,
+//     produces the same digest as the built-in's lazy evaluation;
 //   - scheduler consistency: batch.CheckInvariants (which includes the
 //     incremental-vs-from-scratch profile cross-check, the capacity-ceiling
 //     reservation bound and the queue seniority ordering that outage

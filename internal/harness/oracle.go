@@ -80,6 +80,17 @@ func OracleConfig(s *Spec, sweepWorkers int, verify bool) (core.Config, error) {
 	return s.config(sweepWorkers, verify)
 }
 
+// eagerHeuristic embeds a heuristic and nothing else, so it exposes only
+// the public core.Heuristic methods: the sweep cannot see which estimates
+// a wrapped built-in reads and materialises all of them.
+type eagerHeuristic struct{ core.Heuristic }
+
+// EagerHeuristic wraps h so that reallocation sweeps treat it as a custom
+// heuristic: every estimate is brought up to date before each Select. A run
+// with the wrapped heuristic is the eager reference the lazy evaluation of
+// the built-ins must reproduce bit for bit.
+func EagerHeuristic(h core.Heuristic) core.Heuristic { return eagerHeuristic{h} }
+
 // Check runs the spec through the full simulator and verifies the oracle's
 // whole battery of invariants (see the package comment). It returns nil
 // when every property holds, and a descriptive error naming the first
@@ -176,6 +187,24 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 	}
 	if d := par.Digest(); d != refDigest {
 		return fmt.Errorf("parallel sweep: %d workers diverged from sequential: %s vs %s", s.SweepWorkers, refDigest, d)
+	}
+
+	// Lazy == eager: the built-in heuristics declare which estimates they
+	// read, and the sweep evaluates only those. Wrapping the heuristic
+	// hides the declaration, so every sweep of this run re-queries every
+	// stale cell before each Select, as the eager ECT matrix did. The two
+	// runs must agree bit for bit.
+	eagerCfg, err := s.config(1, false)
+	if err != nil {
+		return err
+	}
+	eagerCfg.Realloc.Heuristic = EagerHeuristic(eagerCfg.Realloc.Heuristic)
+	eager, err := sim.Run(eagerCfg)
+	if err != nil {
+		return fmt.Errorf("eager-estimate run: %w", err)
+	}
+	if d := eager.Digest(); d != refDigest {
+		return fmt.Errorf("lazy ECT: the %s run with fully materialised estimates diverged: %s vs %s", s.Combo.Heuristic, refDigest, d)
 	}
 
 	// Zero-capacity inertness: without capacity windows the outage policy
