@@ -42,11 +42,14 @@
 // # Performance
 //
 // The batch scheduler is indexed and incremental: jobs are addressed through
-// ID maps, the next internal event comes from min-heaps, the running-jobs
+// ID maps, running completions come from a min-heap, the running-jobs
 // availability profile is maintained as jobs start/finish instead of being
 // rebuilt per query, and queue re-planning is deferred until the next
 // observation so bursts of mutations (Algorithm 2 cancels every waiting job
-// back-to-back) pay for one re-plan. Profiles deep enough to matter carry
+// back-to-back) pay for one re-plan. Under FCFS the event loop never
+// re-plans: no job may start before the queue head, so the next start is the
+// head's earliest slot and a start event starts a prefix of the queue; only
+// readers of the plan (estimates, snapshots, listings) rebuild it. Profiles deep enough to matter carry
 // bucketed free-core summaries (per-bucket max/min over fixed segment
 // buckets, maintained exactly by every mutation): slot searches hop whole
 // buckets that cannot fit a request and swallow whole buckets that satisfy

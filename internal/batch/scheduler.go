@@ -214,13 +214,18 @@ const debugProfileEnv = "GRIDREALLOC_DEBUG_PROFILE"
 // concurrent use; the simulation driver serialises all access.
 //
 // Internally the scheduler is indexed and incremental: jobs are found by ID
-// through hash maps, the next internal event comes from two min-heaps
-// (planned starts, running completions), the availability profile of the
-// running jobs is maintained incrementally as jobs start/finish instead of
-// being reconstructed from the running set, and the waiting-queue plan is
-// recomputed lazily — a burst of mutations (such as Algorithm 2 cancelling
-// every waiting job back-to-back) pays for a single re-plan at the next
-// observation instead of one per mutation.
+// through hash maps, the next internal event is the earliest of the running
+// completions (a min-heap), the next outage reveal and the earliest waiting
+// start, the availability profile of the running jobs is maintained
+// incrementally as jobs start/finish instead of being reconstructed from the
+// running set, and the waiting-queue plan is recomputed lazily — a burst of
+// mutations (such as Algorithm 2 cancelling every waiting job back-to-back)
+// pays for a single re-plan at the next observation instead of one per
+// mutation. Under FCFS the event loop never needs the full plan: no job may
+// start before the queue head, so the earliest waiting start is the head's
+// earliest slot on the run profile, and a start event starts a prefix of the
+// queue (see nextInternalEvent and startDueAt). Only readers of the plan
+// (estimates, snapshots, listings, checks) rebuild it.
 //
 //gridlint:resettable
 type Scheduler struct {
@@ -251,9 +256,14 @@ type Scheduler struct {
 	// nextStart is the earliest planned start among waiting jobs (or the
 	// noNextStart sentinel), valid whenever the plan is clean. Every plan
 	// flush visits the whole queue anyway, so a scalar minimum replaces the
-	// start-ordered heap the scheduler used to rebuild on each flush.
-	nextStart  int64
-	finishHeap finishQueue
+	// start-ordered heap the scheduler used to rebuild on each flush. Under
+	// FCFS it is also valid while the plan is dirty if headVersion equals
+	// stateVersion: it was then derived from the queue head alone (planHead,
+	// startDueAt), and every mutation that dirties the plan bumps
+	// stateVersion.
+	nextStart   int64
+	headVersion uint64
+	finishHeap  finishQueue
 
 	// runProf is the availability profile of the running jobs only, bounded
 	// by their walltime reservations. It is maintained incrementally: a start
@@ -410,6 +420,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	}
 	s.nextOutage = 0
 	s.nextStart = noNextStart
+	s.headVersion = 0
 	s.finishHeap = s.finishHeap[:0]
 	s.capacityBaseProfileInto(s.runProf, 0)
 	s.runProfValid = true
@@ -516,7 +527,10 @@ func (s *Scheduler) Counters() (submissions, cancellations, ectQueries int64) {
 // queries were answered from snapshots, and how often the incremental run
 // profile had to be reconstructed from scratch through the invalidation path.
 type ProfileStats struct {
-	// PlanRebuilds counts full re-plans of the waiting queue.
+	// PlanRebuilds counts full re-plans of the waiting queue. Under CBF the
+	// event loop re-plans after every mutation it observes; under FCFS it
+	// plans only the queue head, so rebuilds come from readers of the plan
+	// (estimates, snapshots, listings, CurrentCompletion and the checks).
 	PlanRebuilds int64
 	// PlanAppends counts submissions planned through the append fast path,
 	// which places only the new job instead of re-planning the whole queue.
@@ -661,17 +675,23 @@ func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hi
 	if s.policy == FCFS && prevStart > lower {
 		lower = prevStart
 	}
-	var seg int
-	start, seg = prof.findSlotFrom(hint, lower, e.wall, e.job.Procs)
+	start, seg := earliestSlot(prof, e, lower, hint)
+	end = start + e.wall
+	cursor, err = prof.reserveAtHint(start, end, e.job.Procs, seg)
+	return start, end, cursor, err
+}
+
+// earliestSlot is placeEntry's search without the reservation: the earliest
+// start of e at or after lower on prof, and the segment it falls in.
+func earliestSlot(prof *profile, e *queueEntry, lower int64, hint int) (int64, int) {
+	start, seg := prof.findSlotFrom(hint, lower, e.wall, e.job.Procs)
 	if start == noSlot {
 		// Cannot happen for admitted jobs (procs <= cores); guard anyway by
 		// pushing the job to the end of the known horizon.
 		start = prof.times[len(prof.times)-1]
 		seg = len(prof.times) - 1
 	}
-	end = start + e.wall
-	cursor, err = prof.reserveAtHint(start, end, e.job.Procs, seg)
-	return start, end, cursor, err
+	return start, seg
 }
 
 // appendToPlan plans a newly appended entry against the current plan
@@ -760,6 +780,16 @@ func (s *Scheduler) AppendWaitingJobs(dst []WaitingJob) []WaitingJob {
 		})
 	}
 	return dst
+}
+
+// WaitingReallocations calls fn with the ID and reallocation count of every
+// waiting job, in queue order. It reads nothing of the plan, so unlike
+// AppendWaitingJobs it never forces a deferred re-plan: it serves callers
+// that track migration counters and never look at planned windows.
+func (s *Scheduler) WaitingReallocations(fn func(jobID, reallocations int)) {
+	for _, e := range s.waiting {
+		fn(e.job.ID, e.migrated)
+	}
 }
 
 // CurrentCompletion returns the predicted completion time of a job already
@@ -1046,16 +1076,22 @@ func (s *Scheduler) NextEventTime() (int64, bool) {
 }
 
 // nextInternalEvent returns the time and kind of the next internal event by
-// peeking the two event heaps and the outage timeline. At equal instants,
-// completions run first (the freed cores may allow an earlier re-planned
-// start), then outage reveals (so a job is not started into a window that
-// just lost its cores), then starts.
+// peeking the finish heap, the outage timeline and the earliest waiting
+// start. At equal instants, completions run first (the freed cores may allow
+// an earlier re-planned start), then outage reveals (so a job is not started
+// into a window that just lost its cores), then starts.
 func (s *Scheduler) nextInternalEvent() (int64, internalEvent, bool) {
 	// The plan is consulted only for the earliest waiting start; with an
 	// empty queue there is none, and the re-plan (refreshing the estimate
-	// profile) stays deferred to the next observation.
-	if len(s.waiting) > 0 {
-		s.ensurePlan()
+	// profile) stays deferred to the next observation. Under FCFS that start
+	// is the queue head's, so a dirty plan stays dirty: only the head is
+	// planned, and the full re-plan waits for the first reader.
+	if len(s.waiting) > 0 && s.planDirty {
+		if s.policy == FCFS {
+			s.planHead()
+		} else {
+			s.ensurePlan()
+		}
 	}
 	bestT := int64(0)
 	kind := evStart
@@ -1074,6 +1110,28 @@ func (s *Scheduler) nextInternalEvent() (int64, internalEvent, bool) {
 		}
 	}
 	return bestT, kind, found
+}
+
+// planHead sets nextStart to the queue head's earliest slot on the run
+// profile at or after now — the search placeEntry does for the first job of
+// a full FCFS re-plan. No FCFS job may start before the head, so this is the
+// full plan's earliest start. The answer is memoised against stateVersion:
+// every mutation that dirties the plan bumps it, and between two mutations
+// only time advances, which cannot pass a start the event loop has not yet
+// taken.
+func (s *Scheduler) planHead() {
+	if s.headVersion == s.stateVersion {
+		return
+	}
+	s.ensureRunProfile()
+	s.nextStart, _ = earliestSlot(s.runProf, s.waiting[0], s.now, 0)
+	s.headVersion = s.stateVersion
+	if s.debugCheck {
+		if n, first := s.scratchFCFSPrefix(s.nextStart); n == 0 {
+			panic(fmt.Sprintf("batch: head-only next start on %s at t=%d diverged: head-only %d, from-scratch plan %d",
+				s.spec.Name, s.now, s.nextStart, first))
+		}
+	}
 }
 
 // revealNextOutage makes the next unannounced capacity window visible to the
@@ -1235,38 +1293,27 @@ func (s *Scheduler) releaseReservation(a *allocation, t int64) bool {
 	return true
 }
 
-// startDueAt starts every waiting job whose planned start is exactly t,
-// reserving its walltime window in the incremental run profile. The plan
-// profile stays valid: a started job occupies exactly the window it was
-// planned to.
+// startDueAt starts every waiting job whose start is due at t, reserving its
+// walltime window in the incremental run profile. A started job occupies
+// exactly the window it was planned to, so a clean plan stays clean.
+//
+// Under CBF the due jobs are those whose planned start is t, anywhere in the
+// queue. Under FCFS they are a prefix of the queue, found without the plan:
+// the head (whose earliest start is t, or this event would not be due), then
+// each next job whose earliest slot at or after t on the updated run profile
+// is t itself. That is the full plan's answer, because FCFS starts never
+// decrease along the queue and the run profile now holds exactly the
+// started jobs' planned windows; the first later slot is the next start.
 func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
+	if s.policy == FCFS {
+		return s.startHeadPrefix(t, notes)
+	}
 	n0 := len(notes)
 	next := noNextStart
 	kept := s.waiting[:0]
 	for _, e := range s.waiting {
 		if e.plannedStart == t {
-			run := s.scaledRuntime(e.job)
-			wall := e.wall
-			a := s.newAllocation()
-			*a = allocation{
-				job:      e.job,
-				start:    t,
-				end:      t + run,
-				wallEnd:  t + wall,
-				killed:   run == wall && e.job.KilledByWalltime(),
-				migrated: e.migrated,
-			}
-			s.running = append(s.running, a)
-			s.runningByID[a.job.ID] = a
-			heap.Push(&s.finishHeap, a)
-			delete(s.waitingByID, e.job.ID)
-			if s.runProfValid {
-				if err := s.runProf.reserve(t, a.wallEnd, a.job.Procs); err != nil {
-					s.InvalidateRunProfile()
-				}
-			}
-			notes = append(notes, Notification{Kind: Started, JobID: e.job.ID, Time: t})
-			s.entryPool.Put(e)
+			notes = s.startEntry(e, t, notes)
 			continue
 		}
 		if e.plannedStart < next {
@@ -1283,6 +1330,97 @@ func (s *Scheduler) startDueAt(t int64, notes []Notification) []Notification {
 		s.stateVersion++
 	}
 	return notes
+}
+
+// startHeadPrefix is startDueAt under FCFS: it starts the queue prefix due
+// at t and derives the next start from the queue head that remains.
+func (s *Scheduler) startHeadPrefix(t int64, notes []Notification) []Notification {
+	wantN, wantNext := -1, noNextStart
+	if s.debugCheck {
+		wantN, wantNext = s.scratchFCFSPrefix(t)
+	}
+	s.now = t
+	next := noNextStart
+	n := 0
+	for ; n < len(s.waiting); n++ {
+		e := s.waiting[n]
+		if n > 0 {
+			if !s.runProfValid {
+				s.ensureRunProfile()
+			}
+			if start, _ := earliestSlot(s.runProf, e, t, 0); start != t {
+				next = start
+				break
+			}
+		}
+		notes = s.startEntry(e, t, notes)
+	}
+	s.waiting = append(s.waiting[:0], s.waiting[n:]...)
+	s.nextStart = next
+	// Started jobs left the waiting queue, so cached queue views are stale
+	// even though a clean plan stays clean; the new head's start is current
+	// for the new version.
+	s.stateVersion++
+	s.headVersion = s.stateVersion
+	if s.debugCheck && (n != wantN || next != wantNext) {
+		panic(fmt.Sprintf("batch: head-only start on %s at t=%d diverged: started %d, next %d; from-scratch plan starts %d, next %d",
+			s.spec.Name, t, n, next, wantN, wantNext))
+	}
+	return notes
+}
+
+// startEntry moves a waiting entry into execution at t: it builds the
+// allocation, indexes it, pushes its completion on the finish heap, reserves
+// its walltime window in the run profile and pools the entry. The caller
+// removes the entry from the waiting slice and bumps stateVersion.
+//
+//gridlint:stateversion-bumped-by-caller
+func (s *Scheduler) startEntry(e *queueEntry, t int64, notes []Notification) []Notification {
+	run := s.scaledRuntime(e.job)
+	wall := e.wall
+	a := s.newAllocation()
+	*a = allocation{
+		job:      e.job,
+		start:    t,
+		end:      t + run,
+		wallEnd:  t + wall,
+		killed:   run == wall && e.job.KilledByWalltime(),
+		migrated: e.migrated,
+	}
+	s.running = append(s.running, a)
+	s.runningByID[a.job.ID] = a
+	heap.Push(&s.finishHeap, a)
+	delete(s.waitingByID, e.job.ID)
+	if s.runProfValid {
+		if err := s.runProf.reserve(t, a.wallEnd, a.job.Procs); err != nil {
+			s.InvalidateRunProfile()
+		}
+	}
+	s.entryPool.Put(e)
+	return append(notes, Notification{Kind: Started, JobID: a.job.ID, Time: t})
+}
+
+// scratchFCFSPrefix plans the waiting queue from scratch under FCFS — on a
+// run profile rebuilt from the running set — only as far as it needs to tell
+// how many leading jobs start at t and where the first later one starts.
+// It is the reference the debug cross-check holds head-only decisions
+// (planHead, startHeadPrefix) to.
+func (s *Scheduler) scratchFCFSPrefix(t int64) (n int, next int64) {
+	prof := s.scratchRunProfile()
+	prevStart := s.now
+	cursor := 0
+	for _, e := range s.waiting {
+		start, _, cur, err := s.placeEntry(prof, e, prevStart, cursor)
+		if err != nil {
+			panic(fmt.Sprintf("batch: from-scratch plan reservation failed on %s: %v", s.spec.Name, err))
+		}
+		if start != t {
+			return n, start
+		}
+		n++
+		prevStart, cursor = start, cur
+	}
+	return n, noNextStart
 }
 
 // InvalidateRunProfile discards the incremental run profile; the next plan

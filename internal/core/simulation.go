@@ -521,11 +521,8 @@ type driver struct {
 	// reset so the hot fold never rescans a name.
 	digest      sim.DigestAcc
 	clusterHash []uint64
-	// waitingScratch is reused by updateReallocationCounts after every
-	// reallocation pass.
-	waitingScratch []batch.WaitingJob //gridlint:keep-across-reset capacity only, truncated before use
-	total          int
-	completed      int
+	total       int
+	completed   int
 	// verify runs the per-cluster invariant checks at reallocation passes
 	// and capacity events (Config.VerifyInvariants).
 	verify bool
@@ -715,21 +712,17 @@ func (d *driver) handleReallocation(now sim.Time) {
 
 // updateReallocationCounts copies the per-job migration counters from the
 // waiting queues into the job records, so the final records reflect how many
-// times each job moved before starting.
+// times each job moved before starting. It reads no planned window, so it
+// leaves every cluster's deferred re-plan deferred.
 func (d *driver) updateReallocationCounts() {
 	for _, srv := range d.servers {
-		if srv.Scheduler().WaitingCount() == 0 {
-			// Nothing to copy; skipping the listing also leaves the cluster's
-			// deferred re-plan deferred (the flush is behaviour-neutral).
-			continue
-		}
-		d.waitingScratch = srv.Scheduler().AppendWaitingJobs(d.waitingScratch[:0])
-		for _, w := range d.waitingScratch {
-			if rec, ok := d.result.Jobs[w.Job.ID]; ok {
-				rec.Reallocations = w.Reallocations
-				rec.Cluster = w.ClusterName
+		name := srv.Name()
+		srv.Scheduler().WaitingReallocations(func(jobID, reallocations int) {
+			if rec, ok := d.result.Jobs[jobID]; ok {
+				rec.Reallocations = reallocations
+				rec.Cluster = name
 			}
-		}
+		})
 	}
 }
 

@@ -163,12 +163,18 @@ func TestLazySweepMatchesEager(t *testing.T) {
 
 // TestSweepSteadyStateAllocs pins the sweep's buffer reuse: once an agent
 // has seen a platform, a pass allocates only the two per-cluster worker
-// callbacks (gather and snapshot), however deep the queues are.
+// callbacks (gather and snapshot), however deep the queues are. The
+// schedulers' debug cross-check is switched off, whatever the environment
+// says: it builds a from-scratch profile on every re-plan, and the pin
+// measures the sweep, not the check.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	for _, alg := range []Algorithm{WithoutCancellation, WithCancellation} {
 		for _, h := range append(Heuristics(), eagerHeuristic{MinMin()}) {
 			for _, depth := range []int{20, 60} {
 				servers := deepQueueServers(t, 3, depth, 0, batch.CBF)
+				for _, srv := range servers {
+					srv.Scheduler().SetDebugCrossCheck(false)
+				}
 				a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h, SweepWorkers: 1})
 				for i := 0; i < 2; i++ {
 					if _, err := a.Reallocate(10); err != nil {
