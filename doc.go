@@ -49,7 +49,12 @@
 // back-to-back) pay for one re-plan. Under FCFS the event loop never
 // re-plans: no job may start before the queue head, so the next start is the
 // head's earliest slot and a start event starts a prefix of the queue; only
-// readers of the plan (estimates, snapshots, listings) rebuild it. Profiles deep enough to matter carry
+// readers of the plan (estimates, snapshots, listings) bring it up to date.
+// An early finish patches the FCFS plan instead of discarding it (its
+// walltime tail is released in the plan profile too), and a reader keeps the
+// patched plan when one profile scan proves that no waiting job can use the
+// freed cores; it re-plans the queue only when some job can move or another
+// mutation intervened. Profiles deep enough to matter carry
 // bucketed free-core summaries (per-bucket max/min over fixed segment
 // buckets, maintained exactly by every mutation): slot searches hop whole
 // buckets that cannot fit a request and swallow whole buckets that satisfy

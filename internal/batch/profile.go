@@ -605,6 +605,54 @@ func (p *profile) equal(o *profile) bool {
 	return true
 }
 
+// equalFrom reports whether two profiles describe the same step function
+// from t on; t must not precede either origin.
+func (p *profile) equalFrom(o *profile, t int64) bool {
+	a, b := p.clone(), o.clone()
+	a.trimTo(t)
+	b.trimTo(t)
+	return a.equal(b)
+}
+
+// fitsBefore reports whether some start y in [lower, end) has procs cores
+// free over [y, min(y+duration, end)): whether a job whose window from end
+// on is known to be free could start before end. It scans the segments
+// overlapping [lower, end) once, resuming at segment hint (any in-range
+// segment at or before lower), and returns the segment containing end as the
+// hint for a scan that resumes there.
+func (p *profile) fitsBefore(hint int, lower, end, duration int64, procs int) (bool, int) {
+	lower = max(lower, p.times[0])
+	i := p.segmentIndexFrom(hint, lower)
+	if lower >= end {
+		return false, i
+	}
+	var run int64 // start of the current run of segments with procs free
+	inRun := false
+	n := len(p.times)
+	for ; i < n && p.times[i] < end; i++ {
+		if p.free[i] < procs {
+			inRun = false
+			continue
+		}
+		if !inRun {
+			run, inRun = max(p.times[i], lower), true
+		}
+		segEnd := end
+		if i+1 < n && p.times[i+1] < end {
+			segEnd = p.times[i+1]
+		}
+		if segEnd == end || segEnd-run >= duration {
+			return true, i
+		}
+	}
+	// i is the first segment at or after end (or n); the segment containing
+	// end is i or the one before it.
+	if i == n || p.times[i] > end {
+		i--
+	}
+	return false, i
+}
+
 // findSlot returns the earliest start time >= earliest at which procs cores
 // are continuously free for `duration` seconds, or noSlot when procs exceeds
 // the cluster size. duration must be positive.

@@ -118,6 +118,9 @@ func TestResetEqualsFresh(t *testing.T) {
 				t.Fatalf("%s->%s: counters diverged: reused %d/%d/%d, fresh %d/%d/%d",
 					firstPolicy, secondPolicy, subs, cans, ects, fsubs, fcans, fects)
 			}
+			if got, want := reused.ProfileStats(), fresh.ProfileStats(); got != want {
+				t.Fatalf("%s->%s: profile stats diverged: reused %+v, fresh %+v", firstPolicy, secondPolicy, got, want)
+			}
 		}
 	}
 }

@@ -225,7 +225,9 @@ const debugProfileEnv = "GRIDREALLOC_DEBUG_PROFILE"
 // start before the queue head, so the earliest waiting start is the head's
 // earliest slot on the run profile, and a start event starts a prefix of the
 // queue (see nextInternalEvent and startDueAt). Only readers of the plan
-// (estimates, snapshots, listings, checks) rebuild it.
+// (estimates, snapshots, listings, checks) bring it up to date, and under
+// FCFS a plan dirtied only by early finishes is patched rather than rebuilt
+// when no waiting job can use the freed cores (see planPatched).
 //
 //gridlint:resettable
 type Scheduler struct {
@@ -283,6 +285,15 @@ type Scheduler struct {
 	planProf    *profile
 	planDirty   bool
 	planVersion uint64
+	// planPatched (FCFS only) marks a dirty plan that is still patchable:
+	// planProf holds the last published plan with every reservation tail
+	// released since applied to it, and every waiting entry keeps its last
+	// planned window. Early finishes set it (finishDueAt), exact finishes and
+	// starts at a job's planned start keep it, and every other mutation that
+	// dirties the plan drops it (dirtyPlan). ensurePlan then decides in one
+	// profile scan whether any job can move (patchHolds) and, if none can,
+	// publishes the patched plan instead of re-planning the queue.
+	planPatched bool
 	// maxPlannedStart is the latest planned start among waiting jobs, used
 	// as the FCFS lower bound for hypothetical placements.
 	maxPlannedStart int64
@@ -338,6 +349,7 @@ type Scheduler struct {
 
 	// Profile bookkeeping counters, exposed through ProfileStats.
 	planRebuilds    int64
+	planPatches     int64
 	planAppends     int64
 	planReuses      int64
 	snapshots       int64
@@ -426,6 +438,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.runProfValid = true
 	s.planProf.copyFrom(s.runProf)
 	s.planDirty = false
+	s.planPatched = false
 	s.planVersion++
 	s.maxPlannedStart = 0
 	s.stateVersion++
@@ -438,7 +451,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.ectCacheVersion = 0
 	s.ectCacheLower = 0
 	s.submissions, s.cancellations, s.ectQueries = 0, 0, 0
-	s.planRebuilds, s.planAppends, s.planReuses = 0, 0, 0
+	s.planRebuilds, s.planPatches, s.planAppends, s.planReuses = 0, 0, 0, 0
 	s.snapshots, s.snapshotHits, s.runProfRebuilds = 0, 0, 0
 	s.ectCacheHits = 0
 	return nil
@@ -530,8 +543,14 @@ type ProfileStats struct {
 	// PlanRebuilds counts full re-plans of the waiting queue. Under CBF the
 	// event loop re-plans after every mutation it observes; under FCFS it
 	// plans only the queue head, so rebuilds come from readers of the plan
-	// (estimates, snapshots, listings, CurrentCompletion and the checks).
+	// (estimates, snapshots, listings, CurrentCompletion and the checks),
+	// and only when an early finish let some waiting job move or a mutation
+	// other than a finish or an on-plan start dirtied the plan.
 	PlanRebuilds int64
+	// PlanPatches counts FCFS observations served by publishing the patched
+	// plan: early finishes had released cores that no waiting job can use,
+	// so the last plan, with those releases applied, is still exact.
+	PlanPatches int64
 	// PlanAppends counts submissions planned through the append fast path,
 	// which places only the new job instead of re-planning the whole queue.
 	PlanAppends int64
@@ -555,6 +574,7 @@ type ProfileStats struct {
 func (s *Scheduler) ProfileStats() ProfileStats {
 	return ProfileStats{
 		PlanRebuilds:       s.planRebuilds,
+		PlanPatches:        s.planPatches,
 		PlanAppends:        s.planAppends,
 		PlanReuses:         s.planReuses,
 		Snapshots:          s.snapshots,
@@ -654,7 +674,7 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 		// planning, on top of the already published plan.
 		s.appendToPlan(e)
 	} else {
-		s.planDirty = true
+		s.dirtyPlan()
 	}
 	return nil
 }
@@ -702,7 +722,7 @@ func (s *Scheduler) appendToPlan(e *queueEntry) {
 	start, end, _, err := s.placeEntry(s.planProf, e, s.maxPlannedStart, 0)
 	if err != nil {
 		// Fall back to a full re-plan rather than publishing a bad profile.
-		s.planDirty = true
+		s.dirtyPlan()
 		return
 	}
 	e.plannedStart = start
@@ -741,7 +761,7 @@ func (s *Scheduler) Cancel(jobID int, now int64) (workload.Job, int, error) {
 	// binary search rather than a linear scan.
 	i := sort.Search(len(s.waiting), func(i int) bool { return s.waiting[i].seq >= e.seq })
 	s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
-	s.planDirty = true
+	s.dirtyPlan()
 	if len(s.waiting) == 0 {
 		// nextInternalEvent skips the re-plan for an empty queue, so the
 		// earliest-start scalar must be cleared here or the last cancelled
@@ -1159,7 +1179,7 @@ func (s *Scheduler) revealNextOutage(notes []Notification) []Notification {
 			s.InvalidateRunProfile()
 		}
 	}
-	s.planDirty = true
+	s.dirtyPlan()
 	return notes
 }
 
@@ -1234,13 +1254,16 @@ func (s *Scheduler) displaceRunning(w platform.CapacityEvent, notes []Notificati
 // finishDueAt completes every running job whose end is exactly t, releasing
 // the unused tail of each walltime reservation back into the incremental run
 // profile. The freed cores may advance waiting jobs, so the plan is marked
-// dirty.
+// dirty. Under FCFS a clean or patched plan gets the same tails released in
+// planProf and stays patched (see planPatched), so the next reader can keep
+// it if no waiting job can use the freed cores.
 func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 	n0 := len(notes)
 	for len(s.finishHeap) > 0 && s.finishHeap[0].end == t {
 		heap.Pop(&s.finishHeap)
 	}
 	released := false
+	patch := s.policy == FCFS && (!s.planDirty || s.planPatched)
 	kept := s.running[:0]
 	for _, a := range s.running {
 		if a.end == t {
@@ -1248,6 +1271,7 @@ func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 			delete(s.runningByID, a.job.ID)
 			if s.releaseReservation(a, t) {
 				released = true
+				patch = patch && s.releasePlanTail(a, t)
 			}
 			s.allocPool.Put(a)
 			continue
@@ -1265,6 +1289,9 @@ func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 		// so the state version moves only with the released tail.
 		if released {
 			s.planDirty = true
+			// A failed release invalidated the run profile, which drops the
+			// patch too.
+			s.planPatched = patch && s.runProfValid
 			s.stateVersion++
 		}
 	}
@@ -1291,6 +1318,14 @@ func (s *Scheduler) releaseReservation(a *allocation, t int64) bool {
 		s.InvalidateRunProfile()
 	}
 	return true
+}
+
+// releasePlanTail returns the same tail [t, wallEnd) to planProf, reporting
+// whether the release succeeded. planProf holds the job's window: it was
+// running when the plan was built, or it started since at its planned start.
+func (s *Scheduler) releasePlanTail(a *allocation, t int64) bool {
+	from := max(t, s.planProf.times[0])
+	return a.wallEnd <= from || s.planProf.release(from, a.wallEnd, a.job.Procs) == nil
 }
 
 // startDueAt starts every waiting job whose start is due at t, reserving its
@@ -1353,6 +1388,9 @@ func (s *Scheduler) startHeadPrefix(t int64, notes []Notification) []Notificatio
 				break
 			}
 		}
+		// A start off the job's planned window leaves planProf holding the
+		// wrong window for it.
+		s.planPatched = s.planPatched && e.plannedStart == t
 		notes = s.startEntry(e, t, notes)
 	}
 	s.waiting = append(s.waiting[:0], s.waiting[n:]...)
@@ -1429,7 +1467,7 @@ func (s *Scheduler) scratchFCFSPrefix(t int64) (n int, next int64) {
 // measure the cost of the from-scratch build the incremental profile avoids.
 func (s *Scheduler) InvalidateRunProfile() {
 	s.runProfValid = false
-	s.planDirty = true
+	s.dirtyPlan()
 	s.stateVersion++
 }
 
@@ -1437,19 +1475,82 @@ func (s *Scheduler) InvalidateRunProfile() {
 // even though no state changed. Together with InvalidateRunProfile it lets
 // benchmarks compare the incremental scheduler against a from-scratch one.
 func (s *Scheduler) InvalidatePlan() {
-	s.planDirty = true
+	s.dirtyPlan()
 	s.stateVersion++
 }
 
-// ensurePlan re-plans the waiting queue if any mutation happened since the
-// last observation, reporting whether a rebuild ran.
+// dirtyPlan marks the plan for a full re-plan at the next observation.
+func (s *Scheduler) dirtyPlan() {
+	s.planDirty = true
+	s.planPatched = false
+}
+
+// ensurePlan brings a dirty plan up to date, reporting whether it was dirty.
+// It stays small enough to inline, so a read of a clean plan costs no call.
 func (s *Scheduler) ensurePlan() bool {
 	if !s.planDirty {
 		return false
 	}
-	s.rebuildPlan()
-	s.planDirty = false
+	s.refreshPlan()
 	return true
+}
+
+// refreshPlan brings the dirty plan up to date. A patched FCFS plan (see
+// planPatched) is published as it stands when no waiting job can move; any
+// other dirty plan is rebuilt.
+func (s *Scheduler) refreshPlan() {
+	if s.planPatched && s.patchHolds() {
+		s.publishPatch()
+	} else {
+		s.rebuildPlan()
+	}
+	s.planDirty = false
+	s.planPatched = false
+}
+
+// patchHolds reports whether the patched plan is the plan a rebuild would
+// produce, by walking the queue once over planProf. Job k, planned at s_k
+// with lower bound lb (now for the head, then the previous job's start),
+// keeps its window unless some y in [lb, s_k) has its cores free over
+// [y, min(y+w_k, s_k)). That test is exact: every later job starts at or
+// after s_k, so before s_k planProf is the profile job k is planned on, and
+// from s_k on its old window is still free, because releases only add
+// cores. Testing only the instant before s_k would miss a long enough hole
+// before a busier region.
+func (s *Scheduler) patchHolds() bool {
+	lower := s.now
+	hint := 0
+	for _, e := range s.waiting {
+		if e.plannedStart < lower {
+			return false
+		}
+		var moves bool
+		moves, hint = s.planProf.fitsBefore(hint, lower, e.plannedStart, e.wall, e.job.Procs)
+		if moves {
+			return false
+		}
+		lower = e.plannedStart
+	}
+	return true
+}
+
+// publishPatch publishes the patched plan after patchHolds accepted it: the
+// windows are unchanged, so the head's start is the earliest and the last
+// job's the FCFS lower bound, as rebuildPlan would derive them.
+func (s *Scheduler) publishPatch() {
+	s.planPatches++
+	s.nextStart = noNextStart
+	s.maxPlannedStart = s.now
+	if n := len(s.waiting); n > 0 {
+		s.nextStart = s.waiting[0].plannedStart
+		s.maxPlannedStart = s.waiting[n-1].plannedStart
+	}
+	s.planVersion++
+	if s.debugCheck {
+		if err := s.checkPlanAgainstScratch(); err != nil {
+			panic(fmt.Sprintf("batch: patched plan diverged from a rebuild: %v", err))
+		}
+	}
 }
 
 // observePlan is ensurePlan for the external observation entry points
@@ -1503,6 +1604,14 @@ func (s *Scheduler) ensureRunProfile() {
 // rebuild when debug cross-checking is enabled.
 func (s *Scheduler) CheckProfileConsistency() error {
 	s.ensurePlan()
+	return s.checkPlanAgainstScratch()
+}
+
+// checkPlanAgainstScratch is CheckProfileConsistency on a clean plan: it
+// compares the run profile, every published window, planProf from now on,
+// the FCFS lower bound and the earliest start against a from-scratch
+// re-plan.
+func (s *Scheduler) checkPlanAgainstScratch() error {
 	if !s.runProfValid {
 		return nil
 	}
@@ -1515,6 +1624,7 @@ func (s *Scheduler) CheckProfileConsistency() error {
 	// Re-plan every waiting job onto the fresh profile and compare against
 	// the published plan.
 	prevStart := s.now
+	next := noNextStart
 	cursor := 0
 	for _, e := range s.waiting {
 		start, end, cur, err := s.placeEntry(fresh, e, prevStart, cursor)
@@ -1531,8 +1641,18 @@ func (s *Scheduler) CheckProfileConsistency() error {
 		if start > prevStart {
 			prevStart = start
 		}
+		next = min(next, start)
 	}
-	// maxPlannedStart may be stale (it is only refreshed on rebuilds, as
+	// fresh now holds the re-plan's profile. planProf may still carry
+	// segments before now, which no query reads.
+	if !s.planProf.equalFrom(fresh, s.now) {
+		return fmt.Errorf("batch: plan profile diverged on %s at t=%d: published %v/%v, re-plan %v/%v",
+			s.spec.Name, s.now, s.planProf.times, s.planProf.free, fresh.times, fresh.free)
+	}
+	if s.nextStart != next {
+		return fmt.Errorf("batch: earliest planned start diverged on %s: published %d, re-plan %d", s.spec.Name, s.nextStart, next)
+	}
+	// maxPlannedStart may be stale (it is only refreshed on rebuilds and patches, as
 	// starts and idle time advances do not change any remaining plan); what
 	// estimates observe is the effective FCFS lower bound max(now, max).
 	published := s.maxPlannedStart

@@ -57,11 +57,16 @@ const NoEstimate int64 = math.MaxInt64
 // cluster (OriginECT − BestOtherECT). A negative value means the move would
 // delay the job. It returns (-NoEstimate) when no other cluster can run the
 // job, so gain-ordered heuristics push such jobs last.
-func (e Estimate) Gain(c Candidate) int64 {
-	if e.BestOtherECT == NoEstimate {
+func (e Estimate) Gain(c Candidate) int64 { return gain(c.OriginECT, e.BestOtherECT) }
+
+// gain is Estimate.Gain on the two times it reads. The built-in gain
+// heuristics score every candidate at every placement, and passing the
+// 96-byte Candidate by value to Gain copied it on each score.
+func gain(originECT, bestOtherECT int64) int64 {
+	if bestOtherECT == NoEstimate {
 		return -NoEstimate
 	}
-	return c.OriginECT - e.BestOtherECT
+	return originECT - bestOtherECT
 }
 
 // Sufferage returns the difference between the two best estimated completion
@@ -242,7 +247,7 @@ func (maxMinHeuristic) Select(cands []Candidate, ests []Estimate) int {
 }
 
 func (maxGainHeuristic) Select(cands []Candidate, ests []Estimate) int {
-	return pickBest(cands, func(i int) float64 { return float64(ests[i].Gain(cands[i])) })
+	return pickBest(cands, func(i int) float64 { return float64(gain(cands[i].OriginECT, ests[i].BestOtherECT)) })
 }
 
 func (maxRelGainHeuristic) Select(cands []Candidate, ests []Estimate) int {
@@ -251,7 +256,7 @@ func (maxRelGainHeuristic) Select(cands []Candidate, ests []Estimate) int {
 		if procs <= 0 {
 			procs = 1
 		}
-		return float64(ests[i].Gain(cands[i])) / float64(procs)
+		return float64(gain(cands[i].OriginECT, ests[i].BestOtherECT)) / float64(procs)
 	})
 }
 
