@@ -568,58 +568,6 @@ func BenchmarkOutageHeavyRealloc(b *testing.B) {
 	}
 }
 
-// BenchmarkReallocationPassDeepQueueParallel measures one Algorithm 2 pass
-// over a six-cluster platform with a deep shared backlog, with the
-// per-cluster sweep fan-out forced off and on. On multi-core machines the
-// spread between the two sub-benchmarks is the fan-out's wall-clock win;
-// results are bit-identical either way (TestABDigestParallelSweep).
-func BenchmarkReallocationPassDeepQueueParallel(b *testing.B) {
-	build := func() []*server.Server {
-		servers := make([]*server.Server, 0, 6)
-		id := 100000
-		for c := 0; c < 6; c++ {
-			srv, err := server.New(platform.ClusterSpec{Name: fmt.Sprintf("c%d", c), Cores: 64, Speed: 1 + float64(c)*0.1}, batch.CBF)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blocker := workload.Job{ID: id, Submit: 0, Runtime: 50000, Walltime: 50000, Procs: 64}
-			id++
-			if err := srv.Submit(blocker, 0, 0); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Scheduler().Advance(0); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 300; i++ {
-				j := workload.Job{ID: c*1000 + i + 1, Submit: int64(i), Runtime: 300, Walltime: 900, Procs: 1 + i%16}
-				if err := srv.Submit(j, 0, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			servers = append(servers, srv)
-		}
-		return servers
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			realloc := core.ReallocConfig{Algorithm: core.WithCancellation, Heuristic: core.MinMin(), SweepWorkers: workers, SweepThreshold: 1}
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				servers := build()
-				agent, err := core.NewAgent(servers, core.MCTMapping(), realloc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := agent.Reallocate(10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatchEstimateCompletionFromScratch measures the same ECT query
 // with the incremental machinery defeated: every query pays a from-scratch
 // rebuild of the run profile and a full re-plan of the waiting queue, which

@@ -1,7 +1,7 @@
 // Command gridfuzz fans randomized scenarios over a worker pool and runs
 // the internal/harness invariant oracle on each: digest determinism,
-// parallel == sequential sweeps, incremental-vs-from-scratch profile
-// consistency, capacity-ceiling reservations, queue seniority, job
+// verification neutrality, lazy == eager sweeps, incremental-vs-from-scratch
+// profile consistency, capacity-ceiling reservations, queue seniority, job
 // conservation, SWF round-trips and zero-capacity inertness, over random
 // traces, random 1–16 cluster platforms and multi-window capacity
 // timelines.

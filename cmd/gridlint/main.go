@@ -1,6 +1,5 @@
-// Command gridlint runs the six gridrealloc invariant analyzers (directives,
-// resetcomplete, stateversion, poollife, determinism, sweepowner — see
-// internal/lint) over the module and prints one line per diagnostic:
+// Command gridlint runs the five gridrealloc invariant analyzers (directives,
+// resetcomplete, stateversion, poollife, determinism — see internal/lint) over the module and prints one line per diagnostic:
 //
 //	path/to/file.go:line:col: analyzer: message
 //

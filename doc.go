@@ -86,25 +86,20 @@
 //
 // whenever scheduler internals change.
 //
-// Two invariants of the profile engine matter to future scale-out work.
-// First, buffer reuse: each cluster has exactly one plan buffer, which
-// re-plans and append-path submissions update in place, and the scheduler
-// pools its queue/allocation records, so the steady-state event loop and
-// re-plan path allocate nothing. An EstimateSnapshot owns no profile: it is
-// a view that reads the live plan, and a query on a view whose plan changed
-// since it was taken re-takes it first, so a view always answers for the
-// cluster's current state — the paper's middleware only ever asks for the
-// current estimate. Second, the deterministic merge: a reallocation sweep
-// may fan per-cluster snapshotting and the initial fill of the ECT matrix
-// (every heuristic but MCT needs each row's minimum before its first pick)
-// over a bounded worker pool (ReallocConfig.SweepWorkers and
-// SweepThreshold, set per run); the lazy re-queries after each move run on
-// the sweep's goroutine. The fan-out's correctness relies on each worker touching exactly one cluster's
-// scheduler and writing only per-cluster result slots, so the merged
-// outcome is bit-identical to the sequential sweep regardless of
-// scheduling order (verified across the 72-configuration digest grid by
-// TestABDigestParallelSweep and under the race detector in CI). Sharding
-// work across clusters must preserve that ownership discipline.
+// Buffer reuse is the profile engine's invariant that matters to future
+// scale-out work: each cluster has exactly one plan buffer, which re-plans
+// and append-path submissions update in place, and the scheduler pools its
+// queue/allocation records, so the steady-state event loop and re-plan path
+// allocate nothing. An EstimateSnapshot owns no profile: it is a view that
+// reads the live plan, and a query on a view whose plan changed since it
+// was taken re-takes it first, so a view always answers for the cluster's
+// current state — the paper's middleware only ever asks for the current
+// estimate.
+//
+// The reallocation sweep is sequential, as in the paper's agent: a
+// per-cluster worker pool never ran measurably faster on the benchmark
+// workloads, because with lazy ECT evaluation almost no pass holds enough
+// work to pay for the goroutine handoff.
 //
 // # Campaign engine
 //
@@ -231,12 +226,13 @@
 // and random SiteProfiles), random platforms of 1–16 clusters with mixed
 // sizes and speeds, multi-window capacity timelines mixing maintenance and
 // outages, every (policy, algorithm, heuristic, outage policy) combination,
-// random mapping policies, reallocation periods and sweep parallelism — and
-// checks an invariant oracle over each: digest determinism across repeated
-// runs and across sweep worker counts, incremental-profile consistency
-// against a from-scratch rebuild, reservations bounded by the capacity
-// ceiling, requeue seniority ordering, job conservation (every submitted
-// job finishes exactly once), SWF round-trips, and zero-capacity inertness.
+// random mapping policies and reallocation periods — and checks an
+// invariant oracle over each: digest determinism across repeated runs,
+// verification neutrality, lazy == eager ECT evaluation,
+// incremental-profile consistency against a from-scratch rebuild,
+// reservations bounded by the capacity ceiling, requeue seniority
+// ordering, job conservation (every submitted job finishes exactly once),
+// SWF round-trips, and zero-capacity inertness.
 // The oracle is exposed three ways: the FuzzScenario and FuzzReadSWF native
 // fuzz targets (with committed seed corpora), the cmd/gridfuzz CLI
 // (gridfuzz -n 500 -seed 42 -parallel 8), and per-run verification through
@@ -251,10 +247,9 @@
 // # Static invariants
 //
 // The runtime contracts above — Reset completeness, state-version
-// observability, pooled-buffer lifetimes, bit-for-bit determinism, sweep
-// ownership — are enforced at the source level by internal/lint, a
-// dependency-free suite of six analyzers following the golang.org/x/tools
-// go/analysis shape. The interprocedural members share a program-wide
+// observability, pooled-buffer lifetimes, bit-for-bit determinism — are
+// enforced at the source level by internal/lint, a dependency-free suite
+// of five analyzers following the golang.org/x/tools go/analysis shape. The interprocedural members share a program-wide
 // static call graph (internal/lint/callgraph.go):
 //
 //   - directives: validates the //gridlint: control comments themselves —
@@ -295,14 +290,6 @@
 //     be annotated //gridlint:unordered-ok (asserting order-insensitivity),
 //     and rejects package-level values of //gridlint:stateful types such as
 //     MappingPolicy — the fuzz oracle's first real catch.
-//
-//   - sweepowner: inside worker callbacks passed to //gridlint:worker
-//     functions (core.Agent.forEachCluster, runner.StreamCtx), slices marked
-//     //gridlint:cluster-indexed may only be indexed by the worker's owned
-//     cluster index (or a value derived from it by plain copy). Cross-slot
-//     reads, whole-slice iteration, and stray indexes reached through
-//     helpers or closures are flagged. This is the data-race gate for the
-//     sharding work: one worker owns one cluster slot.
 //
 // Run the suite locally with
 //

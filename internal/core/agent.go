@@ -76,18 +76,6 @@ type ReallocConfig struct {
 	// for Algorithm 1 to move a job; non-positive values default to
 	// DefaultMinGain. Algorithm 2 ignores it.
 	MinGain int64
-	// SweepWorkers bounds the worker pool this run's reallocation sweeps fan
-	// per-cluster work over; 0 uses GOMAXPROCS and 1 forces the sequential
-	// path. Parallel and sequential sweeps are bit-identical, so this is a
-	// performance knob and the lever determinism checks flip; being per run,
-	// it lets concurrent simulations (the fuzz harness) use different
-	// settings side by side.
-	SweepWorkers int
-	// SweepThreshold is the minimum number of (candidate, cluster) pairs a
-	// sweep must hold before it fans out; 0 uses the tuned default of 2048.
-	// Tests and the fuzz harness set 1 to force the parallel path onto small
-	// fixtures.
-	SweepThreshold int
 }
 
 // normalized returns the config with defaults applied.
@@ -110,7 +98,6 @@ func (c ReallocConfig) normalized() ReallocConfig {
 //
 //gridlint:resettable
 type Agent struct {
-	//gridlint:cluster-indexed
 	servers  []*server.Server
 	byName   map[string]int // cluster name -> server index
 	mapping  MappingPolicy
@@ -130,16 +117,13 @@ type Agent struct {
 	// its waiting queue and every planned window in it are bit-for-bit what
 	// the last gather copied — the sweep reuses the cached view instead of
 	// re-listing (and re-observing) the queue.
-	//gridlint:cluster-indexed
 	gatherVersion []uint64 //gridlint:keep-across-reset stale versions are inert while gatherValid is false
-	//gridlint:cluster-indexed
-	gatherValid []bool
-	sorter      candidateOrderSorter //gridlint:keep-across-reset stateless sort scratch
+	gatherValid   []bool
+	sorter        candidateOrderSorter //gridlint:keep-across-reset stateless sort scratch
 
 	// Scratch buffers reused across reallocation passes, so a sweep's
 	// bookkeeping (candidate gathering, the ECT matrix, the estimates)
 	// allocates only when the platform outgrows every previous pass.
-	//gridlint:cluster-indexed
 	scratchWaiting       [][]batch.WaitingJob //gridlint:keep-across-reset capacity only; contents gated by gatherValid
 	scratchCands         []Candidate          //gridlint:keep-across-reset capacity only, truncated before use
 	scratchOrigins       []int                //gridlint:keep-across-reset capacity only, truncated before use
@@ -274,16 +258,13 @@ func (a *Agent) Reallocate(now int64) (int, error) {
 	}
 }
 
-// gatherCandidates snapshots the waiting queues of every cluster. Listing a
-// queue forces that cluster's deferred re-plan, so the per-cluster listings
-// are fanned over the sweep worker pool when the platform is loaded enough
-// to pay for it; the per-cluster slices are then merged in platform order,
-// keeping the result identical to the sequential gather. Clusters whose
-// scheduler state version did not move since the last gather are not
-// re-listed at all: the cached view is provably bit-for-bit what a fresh
-// listing would return (no mutation means no membership change and no plan
-// change), which is the dirty-cluster half of the sweep-skipping
-// optimisation.
+// gatherCandidates snapshots the waiting queues of every cluster and merges
+// them in platform order. Listing a queue forces that cluster's deferred
+// re-plan, so clusters whose scheduler state version did not move since the
+// last gather are not re-listed at all: the cached view is provably
+// bit-for-bit what a fresh listing would return (no mutation means no
+// membership change and no plan change), which is the dirty-cluster half of
+// the sweep-skipping optimisation.
 //
 // total is the summed WaitingCount the caller (Reallocate) already computed
 // for the empty-sweep skip; sharing it keeps the skip decision and the
@@ -297,15 +278,15 @@ func (a *Agent) gatherCandidates(total int) ([]Candidate, []int) {
 	perCluster := a.scratchWaiting[:len(a.servers)]
 	versions := a.gatherVersion[:len(a.servers)]
 	valid := a.gatherValid[:len(a.servers)]
-	a.forEachCluster(len(a.servers), total, func(idx int) {
-		v := a.servers[idx].Scheduler().StateVersion()
+	for idx, s := range a.servers {
+		v := s.Scheduler().StateVersion()
 		if valid[idx] && versions[idx] == v {
-			return
+			continue
 		}
-		perCluster[idx] = a.servers[idx].Scheduler().AppendWaitingJobs(perCluster[idx][:0])
+		perCluster[idx] = s.Scheduler().AppendWaitingJobs(perCluster[idx][:0])
 		versions[idx] = v
 		valid[idx] = true
-	})
+	}
 	cands := a.scratchCands[:0]
 	if cap(cands) < total {
 		cands = make([]Candidate, 0, total)

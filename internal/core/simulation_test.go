@@ -306,3 +306,44 @@ func TestGeneratedScenarioSmallFractionRuns(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs", res.CompletedJobs(), trace.Len())
 	}
 }
+
+// outagePlatform is the small two-cluster platform with an unannounced
+// outage on each cluster, timed to strike while the burst trace keeps both
+// queues deep (so reallocation sweeps, outage reveals and displacements
+// interleave).
+func outagePlatform() platform.Platform {
+	p := smallPlatform(platform.Heterogeneous)
+	p.Clusters[0].Capacity = []platform.CapacityEvent{
+		{Start: 400, End: 900, Cores: 2, Kind: platform.Outage},
+	}
+	p.Clusters[1].Capacity = []platform.CapacityEvent{
+		{Start: 600, End: 1100, Cores: 0, Kind: platform.Outage},
+	}
+	return p
+}
+
+// TestSweepUnderOutageReveals runs Algorithm 2 sweeps while unannounced
+// outages kill or requeue running jobs, checking every cluster's scheduler
+// invariants after each event.
+func TestSweepUnderOutageReveals(t *testing.T) {
+	trace := burstTrace(t, 80)
+	for _, policy := range []batch.OutagePolicy{batch.KillDisplaced, batch.RequeueDisplaced} {
+		res := runSim(t, Config{
+			Platform:         outagePlatform(),
+			Policy:           batch.CBF,
+			Trace:            trace,
+			Realloc:          ReallocConfig{Algorithm: WithCancellation, Heuristic: MinMin(), Period: 120},
+			OutagePolicy:     policy,
+			VerifyInvariants: true,
+		})
+		if res.CompletedJobs() == 0 {
+			t.Fatalf("policy %v: no job completed", policy)
+		}
+		if res.TotalReallocations == 0 {
+			t.Fatalf("policy %v: no sweep moved a job", policy)
+		}
+		if policy == batch.RequeueDisplaced && res.OutageRequeues == 0 {
+			t.Fatal("outages displaced nothing; the test is not exercising reveals")
+		}
+	}
+}

@@ -43,20 +43,18 @@ type sweep struct {
 	// Algorithm 1 the origin column is replaced by the candidate's current
 	// planned completion (OriginECT) and its cells are never read.
 	hypothetical bool
-	//gridlint:cluster-indexed
-	cols  []sweepCol
-	cells []ectCell  // [row*m + cluster]
-	tops  [][2]int32 // per row: the columns of its two smallest (ECT, cluster) pairs, -1 when absent
-	ests  []Estimate // per Select position: the estimates handed to the heuristic
-	order []int      // per Select position: its row, or MinMin's heap of rows
+	cols         []sweepCol
+	cells        []ectCell  // [row*m + cluster]
+	tops         [][2]int32 // per row: the columns of its two smallest (ECT, cluster) pairs, -1 when absent
+	ests         []Estimate // per Select position: the estimates handed to the heuristic
+	order        []int      // per Select position: its row, or MinMin's heap of rows
 }
 
-// sweepCol is one cluster's column: its snapshot, the version its cells are
-// compared against, and the error of taking the snapshot.
+// sweepCol is one cluster's column: its snapshot and the version its cells
+// are compared against.
 type sweepCol struct {
 	snap batch.EstimateSnapshot
 	ver  uint32
-	err  error
 }
 
 // ectCell is one (candidate, cluster) entry of the ECT matrix.
@@ -71,12 +69,8 @@ type ectCell struct {
 // newSweep snapshots every cluster at now and arms the ECT matrix for the
 // given candidates with every cell unqueried. With fill set it also queries
 // every cell: every heuristic except MCT needs each row's minimum before
-// its first pick. The per-cluster work — one snapshot plus, when filling,
-// that cluster's column — is fanned over the bounded worker pool on sweeps
-// large enough to pay for it. Each worker touches exactly one cluster's
-// scheduler and writes only its own column's cells, so the result is
-// bit-identical to the sequential sweep regardless of scheduling order;
-// errors are surfaced in platform order for the same reason.
+// its first pick. Clusters are visited in platform order, so a snapshot
+// error is reported for the first failing cluster.
 func (a *Agent) newSweep(now int64, cands []Candidate, hypothetical, fill bool) (*sweep, error) {
 	n, m := len(cands), len(a.servers)
 	sw := &a.sweep
@@ -96,23 +90,16 @@ func (a *Agent) newSweep(now int64, cands []Candidate, hypothetical, fill bool) 
 		sw.order = make([]int, n)
 	}
 	sw.tops, sw.ests, sw.order = sw.tops[:n], sw.ests[:n], sw.order[:n]
-	work := m
-	if fill {
-		work = n * m
-	}
-	a.forEachCluster(m, work, func(idx int) {
+	for idx := range sw.cols {
 		col := &sw.cols[idx]
 		col.ver = 1
-		if col.err = a.servers[idx].EstimateSnapshotInto(&col.snap, now); col.err != nil || !fill {
-			return
-		}
-		for p := range cands {
-			sw.cell(p, idx, cands[p].Job)
-		}
-	})
-	for idx := range sw.cols {
-		if err := sw.cols[idx].err; err != nil {
+		if err := a.servers[idx].EstimateSnapshotInto(&col.snap, now); err != nil {
 			return nil, fmt.Errorf("core: snapshotting %s: %w", a.servers[idx].Name(), err)
+		}
+		if fill {
+			for p := range cands {
+				sw.cell(p, idx, cands[p].Job)
+			}
 		}
 	}
 	return sw, nil

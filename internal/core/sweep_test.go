@@ -75,7 +75,7 @@ func queueState(servers []*server.Server) string {
 func passQueries(t *testing.T, alg Algorithm, h Heuristic, m, depth, passes int) (int64, string) {
 	t.Helper()
 	servers := deepQueueServers(t, m, depth, 0, batch.CBF)
-	a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h, SweepWorkers: 1})
+	a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h})
 	before := ectQueries(servers)
 	for i := 0; i < passes; i++ {
 		if _, err := a.Reallocate(10); err != nil {
@@ -139,7 +139,7 @@ func TestLazySweepMatchesEager(t *testing.T) {
 				run := func(h Heuristic) (int64, string) {
 					// Unbalanced queues give Algorithm 1 moves to make.
 					servers := deepQueueServers(t, 4, 40, 10, policy)
-					a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h, SweepWorkers: 1, MinGain: 1})
+					a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h, MinGain: 1})
 					before := ectQueries(servers)
 					for _, now := range []int64{10, 20} {
 						if _, err := a.Reallocate(now); err != nil {
@@ -162,8 +162,8 @@ func TestLazySweepMatchesEager(t *testing.T) {
 }
 
 // TestSweepSteadyStateAllocs pins the sweep's buffer reuse: once an agent
-// has seen a platform, a pass allocates only the two per-cluster worker
-// callbacks (gather and snapshot), however deep the queues are. The
+// has seen a platform, a pass allocates nothing, however deep the queues
+// are. The
 // schedulers' debug cross-check is switched off, whatever the environment
 // says: it builds a from-scratch profile on every re-plan, and the pin
 // measures the sweep, not the check.
@@ -175,7 +175,7 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 				for _, srv := range servers {
 					srv.Scheduler().SetDebugCrossCheck(false)
 				}
-				a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h, SweepWorkers: 1})
+				a := newTestAgent(t, servers, ReallocConfig{Algorithm: alg, Heuristic: h})
 				for i := 0; i < 2; i++ {
 					if _, err := a.Reallocate(10); err != nil {
 						t.Fatal(err)
@@ -186,8 +186,8 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				if allocs > 2 {
-					t.Errorf("%v/%s depth %d: %.0f allocations per steady-state pass, want <= 2", alg, h.Name(), depth, allocs)
+				if allocs > 0 {
+					t.Errorf("%v/%s depth %d: %.0f allocations per steady-state pass, want 0", alg, h.Name(), depth, allocs)
 				}
 			}
 		}

@@ -114,7 +114,7 @@ func CheckFaultTolerance(cfg FaultCampaignConfig) (FaultReport, error) {
 		specs[i] = Generate(faultSeed(cfg.Seed, i))
 	}
 	task := func(ctx context.Context, i int, sim *core.Simulator) (string, error) {
-		runCfg, err := OracleConfig(specs[i], 1, false)
+		runCfg, err := OracleConfig(specs[i], false)
 		if err != nil {
 			return "", err
 		}

@@ -65,9 +65,6 @@ type Spec struct {
 	// seconds.
 	ReallocPeriod int64
 	MinGain       int64
-	// SweepWorkers is the worker-pool bound the parallel determinism check
-	// compares against the sequential sweep (always >= 2).
-	SweepWorkers int
 
 	// Coverage attributes derived from the drawn platform.
 
@@ -82,9 +79,9 @@ type Spec struct {
 
 // String is the one-line form gridfuzz prints per scenario.
 func (s *Spec) String() string {
-	return fmt.Sprintf("seed %d: %d jobs on %s, %s, map %s, period %ds, windows %d (%d maint / %d outage), sweep %d",
+	return fmt.Sprintf("seed %d: %d jobs on %s, %s, map %s, period %ds, windows %d (%d maint / %d outage)",
 		s.Seed, s.Trace.Len(), s.Platform.String(), s.Combo, s.MappingName,
-		s.ReallocPeriod, s.CapacityWindows, s.MaintenanceWindows, s.OutageWindows, s.SweepWorkers)
+		s.ReallocPeriod, s.CapacityWindows, s.MaintenanceWindows, s.OutageWindows)
 }
 
 // Generate derives a complete scenario from one seed. The discrete combo is
@@ -116,7 +113,6 @@ func Generate(seed uint64) *Spec {
 	spec.MappingName = []string{"MCT", "MCT", "Random", "RoundRobin"}[knobRNG.Intn(4)]
 	spec.ReallocPeriod = 600 + knobRNG.Int63n(7200)
 	spec.MinGain = 30 + knobRNG.Int63n(600)
-	spec.SweepWorkers = 2 + knobRNG.Intn(7)
 	return spec
 }
 

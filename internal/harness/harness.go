@@ -9,10 +9,8 @@
 //
 //   - determinism: the same spec produces a bit-identical result digest on
 //     every run;
-//   - parallel == sequential: sweeping with N workers (and the fan-out
-//     threshold forced to 1) produces the same digest as one worker, and a
-//     run with invariant verification enabled the same digest as one
-//     without — the checks and the parallelism are behaviour-neutral;
+//   - verification neutrality: a run with invariant verification enabled
+//     produces the same digest as one without;
 //   - lazy == eager: the run with its heuristic wrapped by EagerHeuristic,
 //     whose sweeps re-query every stale estimate before each Select,
 //     produces the same digest as the built-in's lazy evaluation;

@@ -54,9 +54,6 @@ func TestGenerateStaysInBounds(t *testing.T) {
 		if err := s.Platform.Validate(); err != nil {
 			t.Fatalf("seed %d: invalid platform: %v", seed, err)
 		}
-		if s.SweepWorkers < 2 {
-			t.Fatalf("seed %d: sweep workers %d", seed, s.SweepWorkers)
-		}
 		if s.ReallocPeriod < 600 {
 			t.Fatalf("seed %d: realloc period %d", seed, s.ReallocPeriod)
 		}
@@ -88,7 +85,7 @@ func TestOracleAcceptsSampleSeeds(t *testing.T) {
 // checker a result missing one record.
 func TestOracleCatchesMissingJob(t *testing.T) {
 	s := Generate(3) // any seed
-	cfg, err := s.config(1, false)
+	cfg, err := s.config(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestOracleCatchesMissingJob(t *testing.T) {
 // it claims to cover.
 func TestDigestSensitivity(t *testing.T) {
 	s := Generate(5)
-	cfg, err := s.config(1, false)
+	cfg, err := s.config(false)
 	if err != nil {
 		t.Fatal(err)
 	}

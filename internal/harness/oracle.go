@@ -39,7 +39,7 @@ func Digest(res *core.Result) string {
 // Random policy owns an RNG, RoundRobin a cursor), so reusing one across
 // runs would make the second run legitimately different — the first
 // "non-determinism" this harness ever flagged was exactly that mistake.
-func (s *Spec) config(sweepWorkers int, verify bool) (core.Config, error) {
+func (s *Spec) config(verify bool) (core.Config, error) {
 	heur, err := core.HeuristicByName(s.Combo.Heuristic)
 	if err != nil {
 		return core.Config{}, err
@@ -58,11 +58,6 @@ func (s *Spec) config(sweepWorkers int, verify bool) (core.Config, error) {
 			Heuristic: heur,
 			Period:    s.ReallocPeriod,
 			MinGain:   s.MinGain,
-			// Threshold 1 forces even tiny sweeps through the configured
-			// pool, otherwise random scenarios would almost never exercise
-			// the parallel path.
-			SweepWorkers:   sweepWorkers,
-			SweepThreshold: 1,
 		},
 		OutagePolicy:     s.Combo.OutagePolicy,
 		ClampOversized:   true,
@@ -72,12 +67,11 @@ func (s *Spec) config(sweepWorkers int, verify bool) (core.Config, error) {
 
 // OracleConfig assembles the core configuration one oracle run of the spec
 // uses: the generated trace and platform, the spec's discrete combo, a fresh
-// mapping-policy instance (stateful policies must not leak between runs),
-// the given sweep worker count and the invariant-verification switch. The
-// runner and reuse-equivalence tests use it to replay harness scenarios
-// outside the full oracle.
-func OracleConfig(s *Spec, sweepWorkers int, verify bool) (core.Config, error) {
-	return s.config(sweepWorkers, verify)
+// mapping-policy instance (stateful policies must not leak between runs)
+// and the invariant-verification switch. The runner and reuse-equivalence
+// tests use it to replay harness scenarios outside the full oracle.
+func OracleConfig(s *Spec, verify bool) (core.Config, error) {
+	return s.config(verify)
 }
 
 // eagerHeuristic embeds a heuristic and nothing else, so it exposes only
@@ -110,20 +104,19 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 		return fmt.Errorf("swf round-trip: %w", err)
 	}
 
-	// Reference run: sequential sweep, scheduler invariants verified after
-	// every reallocation pass, at every capacity-window boundary, and at
-	// the end
-	// (incremental profile == from-scratch rebuild, reservations under the
-	// capacity ceiling, FCFS/seniority queue ordering). Deliberately run on
-	// a fresh simulator so the reused runs below are compared against an
-	// unpooled reference.
-	refCfg, err := s.config(1, true)
+	// Reference run: scheduler invariants verified after every reallocation
+	// pass, at every capacity-window boundary, and at the end (incremental
+	// profile == from-scratch rebuild, reservations under the capacity
+	// ceiling, FCFS/seniority queue ordering). Deliberately run on a fresh
+	// simulator so the reused runs below are compared against an unpooled
+	// reference.
+	refCfg, err := s.config(true)
 	if err != nil {
 		return err
 	}
 	ref, err := core.Run(refCfg)
 	if err != nil {
-		return fmt.Errorf("verified sequential run: %w", err)
+		return fmt.Errorf("verified run: %w", err)
 	}
 	// All digest comparisons below use the incremental digest the event loop
 	// folded during the run — no post-pass over the records. Its trust
@@ -145,7 +138,7 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 	// earlier scenarios left in its buffers. The config is rebuilt rather
 	// than reused, so the stateful mapping policy starts from its seed
 	// again.
-	againCfg, err := s.config(1, true)
+	againCfg, err := s.config(true)
 	if err != nil {
 		return err
 	}
@@ -157,36 +150,20 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 		return fmt.Errorf("determinism: fresh and pooled runs of one spec diverged: %s vs %s", refDigest, d)
 	}
 
-	// Verification is behaviour-neutral: the same sequential run with the
-	// invariant checks (and their extra capacity-end wake events) disabled
-	// must match the verified reference. Checked on its own so that a
-	// verify-induced divergence is reported as exactly that, not blamed on
-	// the parallel sweep below.
-	plainCfg, err := s.config(1, false)
+	// Verification is behaviour-neutral: the same run with the invariant
+	// checks (and their extra capacity-end wake events) disabled must match
+	// the verified reference. Checked on its own so that a verify-induced
+	// divergence is reported as exactly that, not blamed on the legs below.
+	plainCfg, err := s.config(false)
 	if err != nil {
 		return err
 	}
 	plain, err := sim.Run(plainCfg)
 	if err != nil {
-		return fmt.Errorf("unverified sequential run: %w", err)
+		return fmt.Errorf("unverified run: %w", err)
 	}
 	if d := plain.Digest(); d != refDigest {
 		return fmt.Errorf("verification neutrality: enabling invariant checks changed the digest: %s vs %s", refDigest, d)
-	}
-
-	// Parallel == sequential: fanning the sweep over SweepWorkers workers
-	// must not change anything either (verification off on both sides of
-	// this comparison).
-	parCfg, err := s.config(s.SweepWorkers, false)
-	if err != nil {
-		return err
-	}
-	par, err := sim.Run(parCfg)
-	if err != nil {
-		return fmt.Errorf("parallel run (%d workers): %w", s.SweepWorkers, err)
-	}
-	if d := par.Digest(); d != refDigest {
-		return fmt.Errorf("parallel sweep: %d workers diverged from sequential: %s vs %s", s.SweepWorkers, refDigest, d)
 	}
 
 	// Lazy == eager: the built-in heuristics declare which estimates they
@@ -194,7 +171,7 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 	// hides the declaration, so every sweep of this run re-queries every
 	// stale cell before each Select, as the eager ECT matrix did. The two
 	// runs must agree bit for bit.
-	eagerCfg, err := s.config(1, false)
+	eagerCfg, err := s.config(false)
 	if err != nil {
 		return err
 	}
@@ -210,7 +187,7 @@ func CheckOn(sim *core.Simulator, s *Spec) error {
 	// Zero-capacity inertness: without capacity windows the outage policy
 	// must be dead code — flipping it cannot change anything.
 	if s.CapacityWindows == 0 {
-		flipCfg, err := s.config(s.SweepWorkers, false)
+		flipCfg, err := s.config(false)
 		if err != nil {
 			return err
 		}

@@ -9,8 +9,7 @@ import (
 // share: resetcomplete and stateversion follow helper calls through it
 // instead of only same-receiver method calls, stateversion verifies that
 // every caller of a //gridlint:stateversion-bumped-by-caller method really
-// bumps, and sweepowner uses the call-site argument mapping to propagate
-// the owned cluster index into helpers.
+// bumps.
 //
 // The graph is purely static: an edge exists for every direct call whose
 // callee resolves to a *types.Func through the type-checker (plain
@@ -18,9 +17,8 @@ import (
 // Calls through interface values, function-typed variables and fields are
 // not resolved — the analyzers that consume the graph treat an unresolved
 // call conservatively at their own judgement. Calls inside function
-// literals are attributed to the enclosing declared function, which is the
-// right granularity for "reachable from" questions: the literal runs only
-// if something the enclosing function created invokes it.
+// literals are attributed to the enclosing declared function: the literal
+// runs only if something the enclosing function created invokes it.
 
 // CallSite is one static call: caller, resolved callee, and the call
 // expression (for argument inspection and diagnostics).
@@ -30,9 +28,8 @@ type CallSite struct {
 	Call   *ast.CallExpr
 }
 
-// CallGraph indexes the program's static call sites both ways.
+// CallGraph indexes the program's static call sites by callee.
 type CallGraph struct {
-	callees map[*types.Func][]CallSite
 	callers map[*types.Func][]CallSite
 }
 
@@ -42,10 +39,7 @@ func (p *Program) CallGraph() *CallGraph {
 	if p.callgraph != nil {
 		return p.callgraph
 	}
-	g := &CallGraph{
-		callees: make(map[*types.Func][]CallSite),
-		callers: make(map[*types.Func][]CallSite),
-	}
+	g := &CallGraph{callers: make(map[*types.Func][]CallSite)}
 	for _, pkg := range p.Sorted() {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -66,9 +60,7 @@ func (p *Program) CallGraph() *CallGraph {
 					if callee == nil {
 						return true
 					}
-					site := CallSite{Caller: caller, Callee: callee, Call: call}
-					g.callees[caller] = append(g.callees[caller], site)
-					g.callers[callee] = append(g.callers[callee], site)
+					g.callers[callee] = append(g.callers[callee], CallSite{Caller: caller, Callee: callee, Call: call})
 					return true
 				})
 			}
@@ -116,28 +108,26 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// CallsFrom returns the static call sites inside fn, in source order.
-func (g *CallGraph) CallsFrom(fn *types.Func) []CallSite { return g.callees[fn] }
-
 // CallsTo returns the static call sites whose resolved callee is fn.
 func (g *CallGraph) CallsTo(fn *types.Func) []CallSite { return g.callers[fn] }
 
-// Reachable returns the set of functions reachable from the roots through
-// static call edges, including the roots themselves.
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var walk func(fn *types.Func)
-	walk = func(fn *types.Func) {
-		if seen[fn] {
-			return
+// flattenParams returns the callee's parameter objects in declaration
+// order, nil-padded for unnamed parameters, so positional arguments map to
+// parameter objects. Variadic tails are returned as declared (an argument
+// passed variadically is not mapped).
+func flattenParams(info *types.Info, decl *ast.FuncDecl) []types.Object {
+	var params []types.Object
+	if decl.Type.Params == nil {
+		return nil
+	}
+	for _, field := range decl.Type.Params.List {
+		if len(field.Names) == 0 {
+			params = append(params, nil)
+			continue
 		}
-		seen[fn] = true
-		for _, site := range g.callees[fn] {
-			walk(site.Callee)
+		for _, name := range field.Names {
+			params = append(params, info.Defs[name])
 		}
 	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return seen
+	return params
 }

@@ -4,6 +4,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -31,10 +32,6 @@ func middle(c *counter) int {
 	c.bumpTwo()
 	return leaf()
 }
-
-func top(c *counter) int { return middle(c) }
-
-func island() {}
 `
 	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -78,61 +75,32 @@ func TestCallGraphEdges(t *testing.T) {
 		t.Error("CallGraph() should cache and return the same graph")
 	}
 
-	middle := fnByName(t, pkg, "middle")
-	leaf := fnByName(t, pkg, "leaf")
-	bump := fnByName(t, pkg, "bump")
-
-	callees := make(map[string]bool)
-	for _, site := range g.CallsFrom(middle) {
-		if site.Caller != middle {
-			t.Errorf("CallsFrom(middle) returned a site whose caller is %v", site.Caller)
+	callers := func(name string) []string {
+		callee := fnByName(t, pkg, name)
+		var out []string
+		for _, site := range g.CallsTo(callee) {
+			if site.Callee != callee {
+				t.Errorf("CallsTo(%s) returned a site whose callee is %v", name, site.Callee)
+			}
+			if site.Call == nil {
+				t.Error("call site without its CallExpr")
+			}
+			out = append(out, site.Caller.Name())
 		}
-		if site.Call == nil {
-			t.Error("call site without its CallExpr")
+		return out
+	}
+	for _, tc := range []struct {
+		callee string
+		want   []string
+	}{
+		{"bump", []string{"bumpTwo", "bumpTwo"}},
+		{"bumpTwo", []string{"middle"}},
+		{"leaf", []string{"middle"}},
+		// The generic call ident(1) must resolve to its origin function.
+		{"ident", []string{"leaf"}},
+	} {
+		if got := callers(tc.callee); !slices.Equal(got, tc.want) {
+			t.Errorf("CallsTo(%s) callers = %v, want %v", tc.callee, got, tc.want)
 		}
-		callees[site.Callee.Name()] = true
-	}
-	if !callees["bumpTwo"] || !callees["leaf"] {
-		t.Errorf("CallsFrom(middle) = %v, want bumpTwo and leaf", callees)
-	}
-
-	var bumpCallers []string
-	for _, site := range g.CallsTo(bump) {
-		bumpCallers = append(bumpCallers, site.Caller.Name())
-	}
-	if len(bumpCallers) != 2 || bumpCallers[0] != "bumpTwo" || bumpCallers[1] != "bumpTwo" {
-		t.Errorf("CallsTo(bump) callers = %v, want [bumpTwo bumpTwo]", bumpCallers)
-	}
-
-	// The generic callee must resolve to its origin function.
-	identCalled := false
-	for _, site := range g.CallsFrom(leaf) {
-		if site.Callee.Name() == "ident" {
-			identCalled = true
-		}
-	}
-	if !identCalled {
-		t.Error("generic call ident(1) not resolved to its origin in CallsFrom(leaf)")
-	}
-}
-
-func TestCallGraphReachable(t *testing.T) {
-	prog, pkg := loadCallGraphFixture(t)
-	g := prog.CallGraph()
-
-	top := fnByName(t, pkg, "top")
-	island := fnByName(t, pkg, "island")
-
-	reach := g.Reachable([]*types.Func{top})
-	for _, name := range []string{"top", "middle", "leaf", "bumpTwo", "bump", "ident"} {
-		if !reach[fnByName(t, pkg, name)] {
-			t.Errorf("%s should be reachable from top", name)
-		}
-	}
-	if reach[island] {
-		t.Error("island is not called by anything and must not be reachable from top")
-	}
-	if !g.Reachable([]*types.Func{island})[island] {
-		t.Error("a root is always reachable from itself")
 	}
 }

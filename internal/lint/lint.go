@@ -15,7 +15,7 @@
 //
 // # Analyzers
 //
-// The suite holds six analyzers, listed in run order by Analyzers.
+// The suite holds five analyzers, listed in run order by Analyzers.
 //
 //   - directives: rejects unknown //gridlint: words and suppression
 //     directives that carry no justification.
@@ -41,9 +41,6 @@
 //     with //gridlint:unordered-ok), and package-level variables of types
 //     marked //gridlint:stateful (per-run state such as mapping policies
 //     must not be shared across runs).
-//   - sweepowner: inside a //gridlint:worker callback, a
-//     //gridlint:cluster-indexed slice may only be indexed by the cluster
-//     the worker owns, so the parallel sweep stays race-free.
 package lint
 
 import (
@@ -119,8 +116,6 @@ const (
 	DirAllowRetain    = "allow-retain"
 	DirUnorderedOK    = "unordered-ok"
 	DirStateful       = "stateful"
-	DirWorker         = "worker"
-	DirClusterIndexed = "cluster-indexed"
 )
 
 // KnownDirectives is the complete set of directive words the suite
@@ -135,8 +130,6 @@ var KnownDirectives = map[string]bool{
 	DirAllowRetain:    true,
 	DirUnorderedOK:    true,
 	DirStateful:       true,
-	DirWorker:         true,
-	DirClusterIndexed: true,
 }
 
 // SuppressionDirectives are the directives that silence another analyzer's
@@ -264,7 +257,6 @@ func Analyzers() []*Analyzer {
 		StateVersion,
 		PoolLife,
 		Determinism,
-		SweepOwner,
 	}
 }
 

@@ -33,10 +33,6 @@ func TestDeterminismFixture(t *testing.T) {
 	RunFixture(t, fixtureRoot(t), []*Analyzer{Determinism}, "determinism")
 }
 
-func TestSweepOwnerFixture(t *testing.T) {
-	RunFixture(t, fixtureRoot(t), []*Analyzer{SweepOwner}, "sweepowner")
-}
-
 // TestDirectivesFixture checks the directives validation pass directly:
 // its diagnostics anchor on the directive comments themselves, where the
 // `// want` convention cannot follow (a line holds one comment), so the

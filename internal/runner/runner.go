@@ -417,8 +417,6 @@ func (w *taskRunner[T]) attempt(ctx context.Context, i, attempt int) (v T, err e
 // emitted. StreamCtx returns only once every worker has exited, with the
 // campaign's RunStats and ctx.Err() (nil when the campaign ran to
 // completion).
-//
-//gridlint:worker
 func StreamCtx[T any](ctx context.Context, n int, opts Options, fn TaskFunc[T], emit func(i int, v T, err error)) (RunStats, error) {
 	if n <= 0 {
 		return RunStats{}, ctx.Err()

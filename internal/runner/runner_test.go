@@ -113,7 +113,7 @@ func TestParallelPooledDigestsMatchSequentialFresh(t *testing.T) {
 	const n = 6
 	run := func(_ context.Context, i int, sim *core.Simulator) (string, error) {
 		spec := harness.Generate(uint64(1000 + i))
-		cfg, err := harness.OracleConfig(spec, 1, false)
+		cfg, err := harness.OracleConfig(spec, false)
 		if err != nil {
 			return "", err
 		}

@@ -77,6 +77,19 @@ func TestFrontalErrorStatuses(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Cluster: "bordeaux", Job: JobPayload{ID: 2, Runtime: 1, Walltime: 2, Procs: 1 << 20}}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
 		t.Fatalf("impossible submit: %v", err)
 	}
+
+	// Times past MaxVirtualTime: 422 before they reach the scheduler, whose
+	// planned ends would wrap.
+	huge := JobPayload{ID: 3, Runtime: 1, Walltime: MaxVirtualTime + 1, Procs: 1}
+	if _, err := c.Submit(ctx, SubmitRequest{Cluster: "bordeaux", Job: huge}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("submit with an oversized walltime: %v", err)
+	}
+	if _, err := c.Estimate(ctx, EstimateRequest{Cluster: "bordeaux", Now: MaxVirtualTime + 1, Job: JobPayload{ID: 4, Runtime: 1, Walltime: 2, Procs: 1}}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("estimate past the maximum virtual time: %v", err)
+	}
+	if _, err := c.Cancel(ctx, CancelRequest{Cluster: "bordeaux", Now: MaxVirtualTime + 1, JobID: 1}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("cancel past the maximum virtual time: %v", err)
+	}
 }
 
 // TestFrontalRejectsDrainingAndReportsIt covers the draining frontal paths:

@@ -226,6 +226,26 @@ func (s *Service) rejectIfDraining(w http.ResponseWriter) bool {
 	return false
 }
 
+// MaxVirtualTime bounds every time a frontal request carries: the virtual
+// time now, and a job's submit time, runtime and walltime. The batch
+// scheduler adds durations to times without overflow checks, so an
+// unbounded value from a tenant could wrap a planned end and trip the
+// scheduler's consistency panic; 2^40 seconds (about 34,800 years) leaves
+// room for any real trace.
+const MaxVirtualTime int64 = 1 << 40
+
+// checkTimes rejects a request whose times exceed MaxVirtualTime; job may
+// be nil for requests that carry none.
+func checkTimes(now int64, job *JobPayload) error {
+	if now > MaxVirtualTime {
+		return fmt.Errorf("now %d exceeds the maximum virtual time %d", now, MaxVirtualTime)
+	}
+	if job != nil && max(job.Submit, job.Runtime, job.Walltime) > MaxVirtualTime {
+		return fmt.Errorf("job %d: times exceed the maximum virtual time %d", job.ID, MaxVirtualTime)
+	}
+	return nil
+}
+
 // advanceLocked clamps the requested virtual time forward to the cluster's
 // current time (virtual time never rewinds) and advances the scheduler.
 // The caller holds c.mu.
@@ -252,6 +272,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c := s.lookup(w, req.Cluster)
 	if c == nil {
+		return
+	}
+	if err := checkTimes(req.Now, &req.Job); err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return
 	}
 	c.mu.Lock()
@@ -286,6 +310,10 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
+	if err := checkTimes(req.Now, nil); err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+		return
+	}
 	c.mu.Lock()
 	now, err := advanceLocked(c, req.Now)
 	var job workload.Job
@@ -316,6 +344,10 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	c := s.lookup(w, req.Cluster)
 	if c == nil {
+		return
+	}
+	if err := checkTimes(req.Now, &req.Job); err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return
 	}
 	c.mu.Lock()

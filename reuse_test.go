@@ -79,7 +79,7 @@ func TestSimulatorReuseDigestHarnessSeeds(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		seed := uint64(9000 + i*31)
 		spec := harness.Generate(seed)
-		freshCfg, err := harness.OracleConfig(spec, 1, false)
+		freshCfg, err := harness.OracleConfig(spec, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSimulatorReuseDigestHarnessSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d fresh: %v", seed, err)
 		}
-		pooledCfg, err := harness.OracleConfig(spec, 1, false)
+		pooledCfg, err := harness.OracleConfig(spec, false)
 		if err != nil {
 			t.Fatal(err)
 		}
