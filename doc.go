@@ -50,11 +50,13 @@
 // re-plans: no job may start before the queue head, so the next start is the
 // head's earliest slot and a start event starts a prefix of the queue; only
 // readers of the plan (estimates, snapshots, listings) bring it up to date.
-// An early finish patches the FCFS plan instead of discarding it (its
-// walltime tail is released in the plan profile too), and a reader keeps the
-// patched plan when one profile scan proves that no waiting job can use the
-// freed cores; it re-plans the queue only when some job can move or another
-// mutation intervened. Profiles deep enough to matter carry
+// After finishes, early starts and cancels, which only free cores, no FCFS
+// start can move later, so a reader re-places jobs from the head only until
+// one keeps its start after every window that changed (released walltime
+// tails, the old windows of moved, early-started and cancelled jobs); from
+// there the new plan equals the old one, whose profile is spliced in
+// instead of placing the rest of the queue. Any other mutation re-plans the
+// whole queue. Profiles deep enough to matter carry
 // bucketed free-core summaries (per-bucket max/min over fixed segment
 // buckets, maintained exactly by every mutation): slot searches hop whole
 // buckets that cannot fit a request and swallow whole buckets that satisfy
@@ -87,8 +89,9 @@
 // whenever scheduler internals change.
 //
 // Buffer reuse is the profile engine's invariant that matters to future
-// scale-out work: each cluster has exactly one plan buffer, which re-plans
-// and append-path submissions update in place, and the scheduler pools its
+// scale-out work: each cluster has one plan buffer, which re-plans and
+// append-path submissions update in place (an FCFS re-plan that splices
+// builds into a spare and swaps the two), and the scheduler pools its
 // queue/allocation records, so the steady-state event loop and re-plan path
 // allocate nothing. An EstimateSnapshot owns no profile: it is a view that
 // reads the live plan, and a query on a view whose plan changed since it

@@ -30,18 +30,20 @@ func randomCapacity(rng *rand.Rand, cores int) []platform.CapacityEvent {
 
 // TestHeadOnlyPlanningMatchesObservedPlan replays random FCFS operation
 // sequences on three schedulers. One lists its waiting queue after half the
-// operations and answers every estimate, so its plan is patched or rebuilt
-// at each read; the second calls InvalidatePlan before every read, so each
-// read re-plans from the run profile; the third is never observed, so its
-// event loop runs on head-only planning throughout. The operations cover
-// submissions at the current and at a later instant, cancels of the head
-// and of a middle job, time advances through early and exact finishes,
-// maintenance windows, outage reveals under both outage policies, direct
-// estimates of random shapes and snapshot queries. After every operation
-// all three must have produced the same notifications and report the same
-// next event, and the first two the same queue and the same estimates.
+// operations and answers every estimate, so its plan is re-planned at each
+// read, stopping early where it can; the second calls InvalidatePlan before
+// every read, so each read re-plans the whole queue from the run profile;
+// the third is never observed, so its event loop runs on head-only planning
+// throughout. The operations cover submissions at the current and at a later
+// instant, cancels of the head and of a random later job, time advances
+// through early and exact finishes and head starts before their planned
+// start, maintenance windows, outage reveals under both outage policies,
+// direct estimates of random shapes and snapshot queries. After every
+// operation all three must have produced the same notifications and report
+// the same next event, and the first two the same queue and the same
+// estimates.
 func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
-	var patches int64
+	var splices, earlyStarts int64
 	for _, outagePolicy := range []OutagePolicy{KillDisplaced, RequeueDisplaced} {
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -98,15 +100,15 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 							t.Fatalf("%s: %v", where(step, what), err)
 						}
 					}
-				case op < 6: // cancel the head or a middle job
+				case op < 6: // cancel the head or a later job
 					what = "cancel head"
 					if blind.WaitingCount() == 0 {
 						continue
 					}
 					pos := 0
 					if op == 5 {
-						what = "cancel middle"
-						pos = blind.WaitingCount() / 2
+						what = "cancel in queue"
+						pos = rng.Intn(blind.WaitingCount())
 					}
 					id := blind.waiting[pos].job.ID
 					for _, s := range trio {
@@ -114,9 +116,25 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 							t.Fatalf("%s: %v", where(step, what), err)
 						}
 					}
-				case op < 8: // advance by a random delta
+				case op < 10: // advance by a random delta or to the next event
 					what = "advance"
 					now += int64(rng.Intn(250))
+					if op >= 8 {
+						what = "advance to next event"
+						next, ok := blind.NextEventTime()
+						if !ok {
+							continue
+						}
+						now = next
+					}
+					// Record the bounded plan's windows to count the starts
+					// that come before them.
+					planned := make(map[int]int64)
+					if observed.planBounded {
+						for _, e := range observed.waiting {
+							planned[e.job.ID] = e.plannedStart
+						}
+					}
 					for i, s := range trio {
 						n, err := s.Advance(now)
 						if err != nil {
@@ -124,19 +142,10 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 						}
 						notes[i] = slices.Clone(n)
 					}
-				case op < 10: // advance exactly to the next event
-					what = "advance to next event"
-					next, ok := blind.NextEventTime()
-					if !ok {
-						continue
-					}
-					now = next
-					for i, s := range trio {
-						n, err := s.Advance(now)
-						if err != nil {
-							t.Fatalf("%s: %v", where(step, what), err)
+					for _, n := range notes[0] {
+						if at, ok := planned[n.JobID]; ok && n.Kind == Started && n.Time < at {
+							earlyStarts++
 						}
-						notes[i] = slices.Clone(n)
 					}
 				case op == 10: // estimate a random shape directly
 					what = "estimate"
@@ -146,7 +155,7 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 						return [2]any{ect, ok}
 					})
 					if got != want {
-						t.Fatalf("%s: estimate of %d cores x %ds: patched %v, re-planned %v", where(step, what), j.Procs, j.Walltime, got, want)
+						t.Fatalf("%s: estimate of %d cores x %ds: observed %v, re-planned %v", where(step, what), j.Procs, j.Walltime, got, want)
 					}
 				default: // snapshot queries of random shapes
 					what = "snapshot"
@@ -166,11 +175,11 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 						return ects
 					})
 					if got != want {
-						t.Fatalf("%s: snapshot estimates of %v: patched %v, re-planned %v", where(step, what), shapes, got, want)
+						t.Fatalf("%s: snapshot estimates of %v: observed %v, re-planned %v", where(step, what), shapes, got, want)
 					}
 				}
 				// Listing after only some operations lets several mutations
-				// reach a patched plan before its next reader.
+				// reach a bounded plan before its next reader.
 				if rng.Intn(2) == 0 {
 					if got, want := read(func(s *Scheduler) any { return s.WaitingJobs() }); !slices.Equal(got.([]WaitingJob), want.([]WaitingJob)) {
 						t.Fatalf("%s: queues diverged:\nobserved   %v\nre-planned %v", where(step, what), got, want)
@@ -194,16 +203,19 @@ func TestHeadOnlyPlanningMatchesObservedPlan(t *testing.T) {
 			if a, b := observed.WaitingJobs(), blind.WaitingJobs(); !slices.Equal(a, b) {
 				t.Fatalf("outage=%v seed=%d: final queues diverged:\nobserved %v\nblind    %v", outagePolicy, seed, a, b)
 			}
-			if got := ref.ProfileStats().PlanPatches; got != 0 {
-				t.Fatalf("outage=%v seed=%d: the invalidated scheduler published %d patched plans", outagePolicy, seed, got)
+			if got := ref.ProfileStats().PlanSplices; got != 0 {
+				t.Fatalf("outage=%v seed=%d: the invalidated scheduler spliced %d re-plans", outagePolicy, seed, got)
 			}
-			patches += observed.ProfileStats().PlanPatches
+			splices += observed.ProfileStats().PlanSplices
 		}
 	}
-	if patches == 0 {
-		t.Fatal("no read was served by a patched plan; the sequences no longer exercise patching")
+	if splices == 0 {
+		t.Fatal("no read was served by a stopped re-plan; the sequences no longer exercise the stop rule")
 	}
-	t.Logf("%d reads served by patched plans", patches)
+	if earlyStarts == 0 {
+		t.Fatal("no job started before its bounded planned start; the sequences no longer exercise early starts")
+	}
+	t.Logf("%d reads served by stopped re-plans, %d starts before the planned start", splices, earlyStarts)
 }
 
 // earlyFinishQueue submits a deep queue of jobs that all finish well before
@@ -322,53 +334,157 @@ func TestHeadOnlyCrossCheckCatchesDivergence(t *testing.T) {
 	collect(t, s, 60) // job 1 finishes early: the head is re-planned
 }
 
-// TestPatchSeesHoleBeforeBusyRegion is the case a test of only the instant
-// before a job's planned start gets wrong. A 22-core job waits for 720,
-// the end of a maintenance window that leaves 6 cores. An early finish at
-// 100 opens [115,440) with all 32 cores free, so the job fits in [115,415)
-// although at 719 it still does not. The patched plan must be rejected and
-// the job re-planned at 115.
-func TestPatchSeesHoleBeforeBusyRegion(t *testing.T) {
-	for _, debug := range []bool{false, true} {
-		s := capacityScheduler(t, 32, FCFS, platform.CapacityEvent{Start: 440, End: 720, Cores: 6, Kind: platform.Maintenance})
-		s.SetDebugCrossCheck(debug)
+// stopRuleCase submits the running jobs at 0, starts them, submits the
+// waiting jobs, reads the plan and checks it against want, then advances to
+// finish, where a running job finishes early. It returns the scheduler and
+// a reference whose next read re-plans the whole queue.
+func stopRuleCase(t *testing.T, cores int, running, waiting []workload.Job, want []int64, finish int64) (s, ref *Scheduler) {
+	t.Helper()
+	var pair [2]*Scheduler
+	for i := range pair {
+		s := newTestScheduler(t, cores, 1.0, FCFS)
+		s.SetDebugCrossCheck(i == 1)
+		for _, j := range running {
+			if err := s.Submit(j, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		collect(t, s, 0)
+		for _, j := range waiting {
+			if err := s.Submit(j, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := plannedStarts(s); !slices.Equal(got, want) {
+			t.Fatalf("planned starts before the early finish %v, want %v", got, want)
+		}
+		if notes := collect(t, s, finish); len(notes) != 1 || notes[0].Kind != Finished {
+			t.Fatalf("t=%d: notifications %v, want one early finish", finish, notes)
+		}
+		pair[i] = s
+	}
+	pair[1].InvalidatePlan()
+	return pair[0], pair[1]
+}
+
+// plannedStarts lists the planned start of every waiting job in queue order.
+func plannedStarts(s *Scheduler) []int64 {
+	var starts []int64
+	for _, w := range s.WaitingJobs() {
+		starts = append(starts, w.PlannedStart)
+	}
+	return starts
+}
+
+// checkStopRule reads the plan of s after the early finish and checks it
+// against want and against the full re-plan of ref, and that the read
+// spliced the old plan in.
+func checkStopRule(t *testing.T, s, ref *Scheduler, want []int64) {
+	t.Helper()
+	before := s.ProfileStats()
+	got := plannedStarts(s)
+	after := s.ProfileStats()
+	if !slices.Equal(got, want) {
+		t.Fatalf("planned starts after the early finish %v, want %v", got, want)
+	}
+	if full := plannedStarts(ref); !slices.Equal(got, full) {
+		t.Fatalf("planned starts %v, full re-plan %v", got, full)
+	}
+	if after.PlanRebuilds != before.PlanRebuilds+1 || after.PlanSplices != before.PlanSplices+1 {
+		t.Fatalf("the read re-planned %d times and spliced %d times, want one stopped re-plan",
+			after.PlanRebuilds-before.PlanRebuilds, after.PlanSplices-before.PlanSplices)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStopRuleCountsMovedWindows is the case a stop rule that bounds only
+// the finished job's tail gets wrong. Job 4 finishes at 10 instead of 100,
+// which moves job 5 from [100,300) to [50,250). Job 6 keeps its start 150,
+// after the released tail's end but inside job 5's old window, so the
+// re-plan must go on: job 7 moves from 300 into the cores job 5 no longer
+// holds at 250. Job 8 keeps 1000, after every changed window, so the re-plan
+// stops there and job 9 keeps its window without being placed.
+func TestStopRuleCountsMovedWindows(t *testing.T) {
+	s, ref := stopRuleCase(t, 10, []workload.Job{
+		job(1, 0, 1000, 1000, 2),
+		job(2, 0, 150, 150, 2),
+		job(3, 0, 50, 50, 2),
+		job(4, 0, 10, 100, 4),
+	}, []workload.Job{
+		job(5, 0, 200, 200, 6),
+		job(6, 0, 100, 100, 2),
+		job(7, 0, 50, 50, 4),
+		job(8, 0, 100, 100, 10),
+		job(9, 0, 10, 10, 1),
+	}, []int64{100, 150, 300, 1000, 1100}, 10)
+	checkStopRule(t, s, ref, []int64{50, 150, 250, 1000, 1100})
+}
+
+// TestStopRuleWaitsForReleasedTails is the same case for the released
+// tail: job 3 finishes at 10 instead of 300. Job 4 keeps its start 100,
+// inside the released tail, and job 5 moves from 200 into it at 100; job 6
+// keeps 400, after the tail's end, where the re-plan stops.
+func TestStopRuleWaitsForReleasedTails(t *testing.T) {
+	s, ref := stopRuleCase(t, 12, []workload.Job{
+		job(1, 0, 400, 400, 2),
+		job(2, 0, 100, 100, 6),
+		job(3, 0, 10, 300, 4),
+	}, []workload.Job{
+		job(4, 0, 100, 100, 6),
+		job(5, 0, 50, 50, 4),
+		job(6, 0, 10, 10, 12),
+	}, []int64{100, 200, 400}, 10)
+	checkStopRule(t, s, ref, []int64{100, 100, 400})
+}
+
+// TestStopRuleAfterClockJump covers a job that moves later, which only a
+// caller that moves the clock past planned starts without advancing the
+// cluster can cause. Jobs 4 and 5 are planned in [100,150); job 4 is
+// cancelled at 120 with no Advance, so job 5 is re-planned at 120 and holds
+// its cores until 170. Job 6 keeps its start 150, after both old windows
+// but inside job 5's new one, so job 7 cannot keep its start 150 beside it.
+func TestStopRuleAfterClockJump(t *testing.T) {
+	var pair [2]*Scheduler
+	for i := range pair {
+		s := newTestScheduler(t, 6, 1.0, FCFS)
 		for _, j := range []workload.Job{
-			job(1, 0, 100, 440, 12), // finishes early, releasing [100,440)
-			job(2, 0, 115, 115, 12), // runs out its walltime
-			job(3, 0, 300, 300, 22),
+			job(1, 0, 100, 100, 2),
+			job(2, 0, 100, 100, 2),
+			job(3, 0, 150, 150, 2),
+			job(4, 0, 50, 50, 2),
+			job(5, 0, 50, 50, 2),
+			job(6, 0, 10, 10, 4),
+			job(7, 0, 10, 10, 2),
 		} {
 			if err := s.Submit(j, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		collect(t, s, 0)
-		if w := s.WaitingJobs(); len(w) != 1 || w[0].PlannedStart != 720 {
-			t.Fatalf("debug=%v: before the early finish the queue is %v, want job 3 at 720", debug, w)
+		if got, want := plannedStarts(s), []int64{100, 100, 150, 150}; !slices.Equal(got, want) {
+			t.Fatalf("planned starts %v, want %v", got, want)
 		}
-		collect(t, s, 100)
-		before := s.ProfileStats()
-		if w := s.WaitingJobs(); len(w) != 1 || w[0].PlannedStart != 115 {
-			t.Fatalf("debug=%v: after the early finish the queue is %v, want job 3 at 115", debug, w)
+		if _, _, err := s.Cancel(4, 120); err != nil {
+			t.Fatal(err)
 		}
-		after := s.ProfileStats()
-		if after.PlanPatches != before.PlanPatches || after.PlanRebuilds != before.PlanRebuilds+1 {
-			t.Fatalf("debug=%v: the read patched %d and rebuilt %d times, want a single rebuild",
-				debug, after.PlanPatches-before.PlanPatches, after.PlanRebuilds-before.PlanRebuilds)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("debug=%v: %v", debug, err)
-		}
+		pair[i] = s
+	}
+	pair[1].InvalidatePlan()
+	got, full := plannedStarts(pair[0]), plannedStarts(pair[1])
+	if want := []int64{120, 150, 160}; !slices.Equal(got, want) || !slices.Equal(full, want) {
+		t.Fatalf("planned starts %v, full re-plan %v, want %v", got, full, want)
 	}
 }
 
-// TestPatchedPlanAnswersEstimatesWithoutRebuild pins the saving: early
-// finishes that free cores no waiting job can use leave the plan patched,
-// and every estimate after them is answered without a re-plan, with the
-// answers a re-planned scheduler gives. A long 4-core job holds the
-// cluster's 8 cores against the 8-core queue behind it until 1000, so the
-// four 1-core jobs' early finishes change nothing. CBF, which patches
-// nothing, re-plans on every such estimate.
-func TestPatchedPlanAnswersEstimatesWithoutRebuild(t *testing.T) {
+// TestSplicedPlanAnswersEstimates pins the saving: early finishes that free
+// cores no waiting job can use leave every window in place, and each
+// estimate after them re-plans only the queue head before splicing in the
+// old plan, with the answers a full re-plan gives. A long 4-core job holds
+// the cluster's 8 cores against the 8-core queue behind it until 1000, past
+// every released tail. CBF, which never splices, re-plans in full.
+func TestSplicedPlanAnswersEstimates(t *testing.T) {
 	setup := func(policy Policy) *Scheduler {
 		s := newTestScheduler(t, 8, 1.0, policy)
 		s.SetDebugCrossCheck(true)
@@ -399,17 +515,17 @@ func TestPatchedPlanAnswersEstimatesWithoutRebuild(t *testing.T) {
 		got, ok := fcfs.TryEstimateCompletion(probe, now)
 		want, wantOK := ref.TryEstimateCompletion(probe, now)
 		if got != want || ok != wantOK {
-			t.Fatalf("t=%d: patched estimate %d/%v, re-planned %d/%v", now, got, ok, want, wantOK)
+			t.Fatalf("t=%d: spliced estimate %d/%v, re-planned %d/%v", now, got, ok, want, wantOK)
 		}
 		if _, ok := cbf.TryEstimateCompletion(probe, now); !ok {
 			t.Fatalf("t=%d: CBF estimate failed", now)
 		}
 	}
-	if st := fcfs.ProfileStats(); st.PlanRebuilds != 0 || st.PlanPatches != 4 {
-		t.Fatalf("FCFS: %d rebuilds and %d patches, want 0 and 4", st.PlanRebuilds, st.PlanPatches)
+	if st := fcfs.ProfileStats(); st.PlanRebuilds != 4 || st.PlanSplices != 4 {
+		t.Fatalf("FCFS: %d re-plans and %d splices, want 4 and 4", st.PlanRebuilds, st.PlanSplices)
 	}
-	if st := cbf.ProfileStats(); st.PlanRebuilds != 4 || st.PlanPatches != 0 {
-		t.Fatalf("CBF: %d rebuilds and %d patches, want 4 and 0", st.PlanRebuilds, st.PlanPatches)
+	if st := cbf.ProfileStats(); st.PlanRebuilds != 4 || st.PlanSplices != 0 {
+		t.Fatalf("CBF: %d re-plans and %d splices, want 4 and 0", st.PlanRebuilds, st.PlanSplices)
 	}
 }
 
@@ -436,56 +552,85 @@ func TestConsistencyCheckComparesPlanProfile(t *testing.T) {
 	}
 }
 
-// TestFitsBefore checks the patch test's scan against a brute-force search
-// over every start in [lower, end) on random profiles.
-func TestFitsBefore(t *testing.T) {
+// TestSpliceFrom checks the splice against the step function it must
+// produce, src from t on and the old profile before t, on random profiles
+// deep enough to carry bucket summaries, and that the result passes the
+// structural check (breakpoints, skip hint, summaries).
+func TestSpliceFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	busy := func(cores int) *profile {
+		p := newProfile(int64(rng.Intn(50)), cores)
+		for i := rng.Intn(80); i > 0; i-- {
+			start := p.times[0] + rng.Int63n(2000)
+			_ = p.reserve(start, start+1+rng.Int63n(300), 1+rng.Intn(cores/4+1))
+		}
+		return p
+	}
 	for trial := 0; trial < 2000; trial++ {
-		p := randomBusyProfile(rng)
-		last := p.times[len(p.times)-1]
-		lower := p.times[0] + int64(rng.Intn(int(last-p.times[0])+50))
-		end := lower + int64(rng.Intn(400))
-		duration := int64(1 + rng.Intn(300))
-		procs := 1 + rng.Intn(p.cores)
-		want := false
-		for y := lower; y < end && !want; y++ {
-			want = p.findSlot(y, min(y+duration, end)-y, procs) == y
+		cores := 4 + rng.Intn(28)
+		p, src := busy(cores), busy(cores)
+		if rng.Intn(4) == 0 {
+			// A saturated prefix, which the skip hint covers.
+			p.firstFree = rng.Intn(len(p.free))
+			for i := 0; i < p.firstFree; i++ {
+				p.free[i] = 0
+			}
+			p.resummarizeFrom(0)
 		}
-		got, hint := p.fitsBefore(rng.Intn(p.segmentIndex(lower)+1), lower, end, duration, procs)
-		if got != want {
-			t.Fatalf("trial %d: fitsBefore(%d, %d, %d, %d) = %v, brute force %v on %v/%v",
-				trial, lower, end, duration, procs, got, want, p.times, p.free)
+		at := max(p.times[0], src.times[0]) + rng.Int63n(2400)
+		if rng.Intn(3) == 0 {
+			at = src.times[rng.Intn(len(src.times))]
+			at = max(at, p.times[0])
 		}
-		if !got && hint != p.segmentIndex(end) {
-			t.Fatalf("trial %d: hint %d, segment of %d is %d", trial, hint, end, p.segmentIndex(end))
+		old := p.clone()
+		p.spliceFrom(src, at)
+		if err := p.check(); err != nil {
+			t.Fatalf("trial %d: splice at %d: %v", trial, at, err)
+		}
+		probes := append(append([]int64{at, at - 1, at + 1}, old.times...), src.times...)
+		for _, x := range probes {
+			if x < old.times[0] {
+				continue
+			}
+			want := old.freeAt(x)
+			if x >= at {
+				want = src.freeAt(x)
+			}
+			if got := p.freeAt(x); got != want {
+				t.Fatalf("trial %d: splice at %d: free at %d is %d, want %d", trial, at, x, got, want)
+			}
+		}
+		if k := p.segmentIndex(at); k > 0 && p.times[k] == at && p.free[k] == p.free[k-1] {
+			t.Fatalf("trial %d: splice at %d left a redundant breakpoint", trial, at)
 		}
 	}
 }
 
-// TestPatchDroppedByOtherMutations checks that a mutation other than a
-// finish or an on-plan start drops a patched plan, so the next read
-// re-plans instead of publishing a profile that misses the mutation. The
-// fixture's early finish at 20 frees cores that the 8-core queue cannot
-// use, which leaves the plan patched; the outage revealed at 50 takes away
-// the cores it freed.
-func TestPatchDroppedByOtherMutations(t *testing.T) {
+// TestBoundDroppedByOtherMutations checks that a mutation other than a
+// finish, an early start or a cancel drops a bounded plan, so the next read
+// re-plans the whole queue instead of splicing in a profile that misses the
+// mutation, and that a cancel keeps the bound. The fixture's early finish at
+// 20 frees cores that the 8-core queue cannot use; the outage revealed at
+// 50 takes away the cores it freed.
+func TestBoundDroppedByOtherMutations(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		mutate func(t *testing.T, s *Scheduler)
+		name    string
+		mutate  func(t *testing.T, s *Scheduler)
+		bounded bool
 	}{
 		{"cancel", func(t *testing.T, s *Scheduler) {
 			if _, _, err := s.Cancel(4, 30); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, true},
 		{"submit", func(t *testing.T, s *Scheduler) {
 			if err := s.Submit(job(5, 20, 30, 30, 2), 20, 0); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"outage", func(t *testing.T, s *Scheduler) { collect(t, s, 50) }},
-		{"invalidate plan", func(t *testing.T, s *Scheduler) { s.InvalidatePlan() }},
-		{"invalidate run profile", func(t *testing.T, s *Scheduler) { s.InvalidateRunProfile() }},
+		}, false},
+		{"outage", func(t *testing.T, s *Scheduler) { collect(t, s, 50) }, false},
+		{"invalidate plan", func(t *testing.T, s *Scheduler) { s.InvalidatePlan() }, false},
+		{"invalidate run profile", func(t *testing.T, s *Scheduler) { s.InvalidateRunProfile() }, false},
 	} {
 		var pair [2]*Scheduler
 		for i := range pair {
@@ -494,6 +639,7 @@ func TestPatchDroppedByOtherMutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.SetDebugCrossCheck(true)
 			for _, j := range []workload.Job{
 				job(1, 0, 1000, 1000, 4),
 				job(2, 0, 20, 500, 4),
@@ -507,13 +653,16 @@ func TestPatchDroppedByOtherMutations(t *testing.T) {
 			collect(t, s, 0)
 			_ = s.WaitingJobs()
 			collect(t, s, 20)
-			if !s.planPatched {
-				t.Fatalf("%s: the early finish did not leave the plan patched", tc.name)
+			if !s.planDirty || !s.planBounded {
+				t.Fatalf("%s: the early finish did not leave a dirty bounded plan", tc.name)
 			}
 			tc.mutate(t, s)
 			pair[i] = s
 		}
 		s, ref := pair[0], pair[1]
+		if s.planBounded != tc.bounded {
+			t.Fatalf("%s: bounded %v after the mutation, want %v", tc.name, s.planBounded, tc.bounded)
+		}
 		ref.InvalidatePlan()
 		probe := job(99, 0, 50, 50, 4)
 		got, ok := s.TryEstimateCompletion(probe, s.Now())
@@ -524,8 +673,8 @@ func TestPatchDroppedByOtherMutations(t *testing.T) {
 		if a, b := s.WaitingJobs(), ref.WaitingJobs(); !slices.Equal(a, b) {
 			t.Fatalf("%s: queue %v, re-planned %v", tc.name, a, b)
 		}
-		if n := s.ProfileStats().PlanPatches; n != 0 {
-			t.Fatalf("%s: the read after the mutation published %d patched plans", tc.name, n)
+		if n := s.ProfileStats().PlanSplices; !tc.bounded && n != 0 {
+			t.Fatalf("%s: the read after the mutation spliced %d re-plans", tc.name, n)
 		}
 	}
 }

@@ -614,43 +614,28 @@ func (p *profile) equalFrom(o *profile, t int64) bool {
 	return a.equal(b)
 }
 
-// fitsBefore reports whether some start y in [lower, end) has procs cores
-// free over [y, min(y+duration, end)): whether a job whose window from end
-// on is known to be free could start before end. It scans the segments
-// overlapping [lower, end) once, resuming at segment hint (any in-range
-// segment at or before lower), and returns the segment containing end as the
-// hint for a scan that resumes there.
-func (p *profile) fitsBefore(hint int, lower, end, duration int64, procs int) (bool, int) {
-	lower = max(lower, p.times[0])
-	i := p.segmentIndexFrom(hint, lower)
-	if lower >= end {
-		return false, i
+// spliceFrom replaces p from t on with src's step function from t on: p
+// keeps its segments before t, and src's segments from the one containing t
+// follow, merged at t when the two sides agree there. t must not precede
+// either origin. It is one pass over the spliced tail, allocation-free once
+// p has room for it.
+func (p *profile) spliceFrom(src *profile, t int64) {
+	k := p.segmentIndex(t)
+	if p.times[k] < t {
+		k++
 	}
-	var run int64 // start of the current run of segments with procs free
-	inRun := false
-	n := len(p.times)
-	for ; i < n && p.times[i] < end; i++ {
-		if p.free[i] < procs {
-			inRun = false
-			continue
-		}
-		if !inRun {
-			run, inRun = max(p.times[i], lower), true
-		}
-		segEnd := end
-		if i+1 < n && p.times[i+1] < end {
-			segEnd = p.times[i+1]
-		}
-		if segEnd == end || segEnd-run >= duration {
-			return true, i
-		}
+	j := src.segmentIndex(t)
+	p.times, p.free = p.times[:k], p.free[:k]
+	if k == 0 || p.free[k-1] != src.free[j] {
+		p.times = append(p.times, t)
+		p.free = append(p.free, src.free[j])
 	}
-	// i is the first segment at or after end (or n); the segment containing
-	// end is i or the one before it.
-	if i == n || p.times[i] > end {
-		i--
-	}
-	return false, i
+	p.times = append(p.times, src.times[j+1:]...)
+	p.free = append(p.free, src.free[j+1:]...)
+	// Segments before k are unchanged, so the skip hint stays valid up to k.
+	p.firstFree = min(p.firstFree, len(p.free)-1, k)
+	p.resummarizeIfActive(k)
+	p.debugCheck()
 }
 
 // findSlot returns the earliest start time >= earliest at which procs cores

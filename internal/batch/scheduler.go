@@ -226,8 +226,9 @@ const debugProfileEnv = "GRIDREALLOC_DEBUG_PROFILE"
 // earliest slot on the run profile, and a start event starts a prefix of the
 // queue (see nextInternalEvent and startDueAt). Only readers of the plan
 // (estimates, snapshots, listings, checks) bring it up to date, and under
-// FCFS a plan dirtied only by early finishes is patched rather than rebuilt
-// when no waiting job can use the freed cores (see planPatched).
+// FCFS a plan dirtied only by finishes, early starts and cancels is
+// re-planned only up to the first job past every changed window, with the
+// old plan's tail spliced in from there (see planBounded).
 //
 //gridlint:resettable
 type Scheduler struct {
@@ -278,22 +279,30 @@ type Scheduler struct {
 
 	// planProf is the availability profile including running jobs and all
 	// planned waiting reservations; planDirty defers its reconstruction until
-	// the next observation. It is the cluster's single plan buffer: rebuilds
-	// and appends update it in place, and estimate snapshots are views that
-	// read it live (planVersion tells a view whether it is still current), so
-	// steady-state re-planning allocates nothing.
+	// the next observation. Rebuilds and appends update it in place (a
+	// bounded FCFS re-plan builds into planSpare and swaps the two), and
+	// estimate snapshots are views that read it live (planVersion tells a
+	// view whether it is still current), so steady-state re-planning
+	// allocates nothing.
 	planProf    *profile
 	planDirty   bool
 	planVersion uint64
-	// planPatched (FCFS only) marks a dirty plan that is still patchable:
-	// planProf holds the last published plan with every reservation tail
-	// released since applied to it, and every waiting entry keeps its last
-	// planned window. Early finishes set it (finishDueAt), exact finishes and
-	// starts at a job's planned start keep it, and every other mutation that
-	// dirties the plan drops it (dirtyPlan). ensurePlan then decides in one
-	// profile scan whether any job can move (patchHolds) and, if none can,
-	// publishes the patched plan instead of re-planning the queue.
-	planPatched bool
+	// planBounded (FCFS only) marks a plan whose changes since it was last
+	// published end by changedUntil: planProf still holds that plan, every
+	// waiting entry keeps its window in it, and the only mutations since are
+	// finishes, head-prefix starts at or before the planned start, and
+	// cancels. changedUntil is the latest end of the windows they changed:
+	// released walltime tails, and the old windows of jobs that started
+	// early or were cancelled. Such changes only free cores, so no start
+	// moves later, and rebuildPlan stops at the first job that keeps its
+	// start at or after every changed window, splicing in the old plan from
+	// there. Every other mutation that dirties the plan drops the flag
+	// (dirtyPlan); CBF never sets it.
+	planBounded  bool
+	changedUntil int64
+	// planSpare is the buffer a bounded re-plan builds into while planProf
+	// still holds the old plan it splices from; the two swap afterwards.
+	planSpare *profile
 	// maxPlannedStart is the latest planned start among waiting jobs, used
 	// as the FCFS lower bound for hypothetical placements.
 	maxPlannedStart int64
@@ -349,7 +358,7 @@ type Scheduler struct {
 
 	// Profile bookkeeping counters, exposed through ProfileStats.
 	planRebuilds    int64
-	planPatches     int64
+	planSplices     int64
 	planAppends     int64
 	planReuses      int64
 	snapshots       int64
@@ -382,6 +391,9 @@ func NewScheduler(spec platform.ClusterSpec, policy Policy) (*Scheduler, error) 
 	s.runProf = s.capacityBaseProfile(0)
 	s.runProfValid = true
 	s.planProf = s.runProf.clone()
+	s.planSpare = newProfile(0, spec.Cores)
+	s.planBounded = policy == FCFS
+	s.changedUntil = math.MinInt64
 	return s, nil
 }
 
@@ -437,8 +449,10 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.capacityBaseProfileInto(s.runProf, 0)
 	s.runProfValid = true
 	s.planProf.copyFrom(s.runProf)
+	s.planSpare.reset(0, spec.Cores)
 	s.planDirty = false
-	s.planPatched = false
+	s.planBounded = policy == FCFS
+	s.changedUntil = math.MinInt64
 	s.planVersion++
 	s.maxPlannedStart = 0
 	s.stateVersion++
@@ -451,7 +465,7 @@ func (s *Scheduler) Reset(spec platform.ClusterSpec, policy Policy) error {
 	s.ectCacheVersion = 0
 	s.ectCacheLower = 0
 	s.submissions, s.cancellations, s.ectQueries = 0, 0, 0
-	s.planRebuilds, s.planPatches, s.planAppends, s.planReuses = 0, 0, 0, 0
+	s.planRebuilds, s.planSplices, s.planAppends, s.planReuses = 0, 0, 0, 0
 	s.snapshots, s.snapshotHits, s.runProfRebuilds = 0, 0, 0
 	s.ectCacheHits = 0
 	return nil
@@ -540,17 +554,16 @@ func (s *Scheduler) Counters() (submissions, cancellations, ectQueries int64) {
 // queries were answered from snapshots, and how often the incremental run
 // profile had to be reconstructed from scratch through the invalidation path.
 type ProfileStats struct {
-	// PlanRebuilds counts full re-plans of the waiting queue. Under CBF the
+	// PlanRebuilds counts re-plans of the waiting queue. Under CBF the
 	// event loop re-plans after every mutation it observes; under FCFS it
-	// plans only the queue head, so rebuilds come from readers of the plan
-	// (estimates, snapshots, listings, CurrentCompletion and the checks),
-	// and only when an early finish let some waiting job move or a mutation
-	// other than a finish or an on-plan start dirtied the plan.
+	// plans only the queue head, so re-plans come from readers of the plan
+	// (estimates, snapshots, listings, CurrentCompletion and the checks).
 	PlanRebuilds int64
-	// PlanPatches counts FCFS observations served by publishing the patched
-	// plan: early finishes had released cores that no waiting job can use,
-	// so the last plan, with those releases applied, is still exact.
-	PlanPatches int64
+	// PlanSplices counts the FCFS re-plans among PlanRebuilds that stopped
+	// early: a job kept its start after every window changed since the last
+	// plan, so the rest of the queue kept its windows and the old plan
+	// profile was spliced in from that start on.
+	PlanSplices int64
 	// PlanAppends counts submissions planned through the append fast path,
 	// which places only the new job instead of re-planning the whole queue.
 	PlanAppends int64
@@ -574,7 +587,7 @@ type ProfileStats struct {
 func (s *Scheduler) ProfileStats() ProfileStats {
 	return ProfileStats{
 		PlanRebuilds:       s.planRebuilds,
-		PlanPatches:        s.planPatches,
+		PlanSplices:        s.planSplices,
 		PlanAppends:        s.planAppends,
 		PlanReuses:         s.planReuses,
 		Snapshots:          s.snapshots,
@@ -688,21 +701,28 @@ func (s *Scheduler) Submit(j workload.Job, now int64, reallocations int) error {
 // so resuming the slot search at the previous start's segment scans each
 // profile segment once per full re-plan instead of once per job. CBF
 // callers pass hint 0 (backfilling may place a job in any earlier hole).
-// This is the single planning rule shared by full re-plans, the append fast
-// path and the consistency checker, so the three can never drift apart.
+// Its search, slotFor, is the single planning rule shared by re-plans, the
+// append fast path and the consistency checker, so the three can never
+// drift apart.
 func (s *Scheduler) placeEntry(prof *profile, e *queueEntry, prevStart int64, hint int) (start, end int64, cursor int, err error) {
-	lower := s.now
-	if s.policy == FCFS && prevStart > lower {
-		lower = prevStart
-	}
-	start, seg := earliestSlot(prof, e, lower, hint)
+	start, seg := s.slotFor(prof, e, prevStart, hint)
 	end = start + e.wall
 	cursor, err = prof.reserveAtHint(start, end, e.job.Procs, seg)
 	return start, end, cursor, err
 }
 
-// earliestSlot is placeEntry's search without the reservation: the earliest
-// start of e at or after lower on prof, and the segment it falls in.
+// slotFor is placeEntry without the reservation: the earliest slot of e on
+// prof at or after the policy's lower bound, and the segment it falls in.
+func (s *Scheduler) slotFor(prof *profile, e *queueEntry, prevStart int64, hint int) (int64, int) {
+	lower := s.now
+	if s.policy == FCFS && prevStart > lower {
+		lower = prevStart
+	}
+	return earliestSlot(prof, e, lower, hint)
+}
+
+// earliestSlot is slotFor for an explicit lower bound: the earliest start of
+// e at or after lower on prof, and the segment it falls in.
 func earliestSlot(prof *profile, e *queueEntry, lower int64, hint int) (int64, int) {
 	start, seg := prof.findSlotFrom(hint, lower, e.wall, e.job.Procs)
 	if start == noSlot {
@@ -761,7 +781,9 @@ func (s *Scheduler) Cancel(jobID int, now int64) (workload.Job, int, error) {
 	// binary search rather than a linear scan.
 	i := sort.Search(len(s.waiting), func(i int) bool { return s.waiting[i].seq >= e.seq })
 	s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
-	s.dirtyPlan()
+	// The cancelled window only frees cores: a bounded plan stays bounded.
+	s.planDirty = true
+	s.changedUntil = max(s.changedUntil, e.plannedEnd)
 	if len(s.waiting) == 0 {
 		// nextInternalEvent skips the re-plan for an empty queue, so the
 		// earliest-start scalar must be cleared here or the last cancelled
@@ -1254,16 +1276,14 @@ func (s *Scheduler) displaceRunning(w platform.CapacityEvent, notes []Notificati
 // finishDueAt completes every running job whose end is exactly t, releasing
 // the unused tail of each walltime reservation back into the incremental run
 // profile. The freed cores may advance waiting jobs, so the plan is marked
-// dirty. Under FCFS a clean or patched plan gets the same tails released in
-// planProf and stays patched (see planPatched), so the next reader can keep
-// it if no waiting job can use the freed cores.
+// dirty; a released tail only frees cores, so a bounded plan stays bounded
+// (see planBounded).
 func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 	n0 := len(notes)
 	for len(s.finishHeap) > 0 && s.finishHeap[0].end == t {
 		heap.Pop(&s.finishHeap)
 	}
 	released := false
-	patch := s.policy == FCFS && (!s.planDirty || s.planPatched)
 	kept := s.running[:0]
 	for _, a := range s.running {
 		if a.end == t {
@@ -1271,7 +1291,7 @@ func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 			delete(s.runningByID, a.job.ID)
 			if s.releaseReservation(a, t) {
 				released = true
-				patch = patch && s.releasePlanTail(a, t)
+				s.changedUntil = max(s.changedUntil, a.wallEnd)
 			}
 			s.allocPool.Put(a)
 			continue
@@ -1289,9 +1309,6 @@ func (s *Scheduler) finishDueAt(t int64, notes []Notification) []Notification {
 		// so the state version moves only with the released tail.
 		if released {
 			s.planDirty = true
-			// A failed release invalidated the run profile, which drops the
-			// patch too.
-			s.planPatched = patch && s.runProfValid
 			s.stateVersion++
 		}
 	}
@@ -1318,14 +1335,6 @@ func (s *Scheduler) releaseReservation(a *allocation, t int64) bool {
 		s.InvalidateRunProfile()
 	}
 	return true
-}
-
-// releasePlanTail returns the same tail [t, wallEnd) to planProf, reporting
-// whether the release succeeded. planProf holds the job's window: it was
-// running when the plan was built, or it started since at its planned start.
-func (s *Scheduler) releasePlanTail(a *allocation, t int64) bool {
-	from := max(t, s.planProf.times[0])
-	return a.wallEnd <= from || s.planProf.release(from, a.wallEnd, a.job.Procs) == nil
 }
 
 // startDueAt starts every waiting job whose start is due at t, reserving its
@@ -1388,9 +1397,14 @@ func (s *Scheduler) startHeadPrefix(t int64, notes []Notification) []Notificatio
 				break
 			}
 		}
-		// A start off the job's planned window leaves planProf holding the
-		// wrong window for it.
-		s.planPatched = s.planPatched && e.plannedStart == t
+		// An early start changes the job's window in planProf, which a
+		// bounded re-plan accounts for; a late one drops the bound.
+		switch {
+		case e.plannedStart > t:
+			s.changedUntil = max(s.changedUntil, e.plannedEnd)
+		case e.plannedStart < t:
+			s.dirtyPlan()
+		}
 		notes = s.startEntry(e, t, notes)
 	}
 	s.waiting = append(s.waiting[:0], s.waiting[n:]...)
@@ -1482,7 +1496,7 @@ func (s *Scheduler) InvalidatePlan() {
 // dirtyPlan marks the plan for a full re-plan at the next observation.
 func (s *Scheduler) dirtyPlan() {
 	s.planDirty = true
-	s.planPatched = false
+	s.planBounded = false
 }
 
 // ensurePlan brings a dirty plan up to date, reporting whether it was dirty.
@@ -1491,66 +1505,8 @@ func (s *Scheduler) ensurePlan() bool {
 	if !s.planDirty {
 		return false
 	}
-	s.refreshPlan()
+	s.rebuildPlan()
 	return true
-}
-
-// refreshPlan brings the dirty plan up to date. A patched FCFS plan (see
-// planPatched) is published as it stands when no waiting job can move; any
-// other dirty plan is rebuilt.
-func (s *Scheduler) refreshPlan() {
-	if s.planPatched && s.patchHolds() {
-		s.publishPatch()
-	} else {
-		s.rebuildPlan()
-	}
-	s.planDirty = false
-	s.planPatched = false
-}
-
-// patchHolds reports whether the patched plan is the plan a rebuild would
-// produce, by walking the queue once over planProf. Job k, planned at s_k
-// with lower bound lb (now for the head, then the previous job's start),
-// keeps its window unless some y in [lb, s_k) has its cores free over
-// [y, min(y+w_k, s_k)). That test is exact: every later job starts at or
-// after s_k, so before s_k planProf is the profile job k is planned on, and
-// from s_k on its old window is still free, because releases only add
-// cores. Testing only the instant before s_k would miss a long enough hole
-// before a busier region.
-func (s *Scheduler) patchHolds() bool {
-	lower := s.now
-	hint := 0
-	for _, e := range s.waiting {
-		if e.plannedStart < lower {
-			return false
-		}
-		var moves bool
-		moves, hint = s.planProf.fitsBefore(hint, lower, e.plannedStart, e.wall, e.job.Procs)
-		if moves {
-			return false
-		}
-		lower = e.plannedStart
-	}
-	return true
-}
-
-// publishPatch publishes the patched plan after patchHolds accepted it: the
-// windows are unchanged, so the head's start is the earliest and the last
-// job's the FCFS lower bound, as rebuildPlan would derive them.
-func (s *Scheduler) publishPatch() {
-	s.planPatches++
-	s.nextStart = noNextStart
-	s.maxPlannedStart = s.now
-	if n := len(s.waiting); n > 0 {
-		s.nextStart = s.waiting[0].plannedStart
-		s.maxPlannedStart = s.waiting[n-1].plannedStart
-	}
-	s.planVersion++
-	if s.debugCheck {
-		if err := s.checkPlanAgainstScratch(); err != nil {
-			panic(fmt.Sprintf("batch: patched plan diverged from a rebuild: %v", err))
-		}
-	}
 }
 
 // observePlan is ensurePlan for the external observation entry points
@@ -1652,7 +1608,7 @@ func (s *Scheduler) checkPlanAgainstScratch() error {
 	if s.nextStart != next {
 		return fmt.Errorf("batch: earliest planned start diverged on %s: published %d, re-plan %d", s.spec.Name, s.nextStart, next)
 	}
-	// maxPlannedStart may be stale (it is only refreshed on rebuilds and patches, as
+	// maxPlannedStart may be stale (it is only refreshed on rebuilds, as
 	// starts and idle time advances do not change any remaining plan); what
 	// estimates observe is the effective FCFS lower bound max(now, max).
 	published := s.maxPlannedStart
@@ -1667,10 +1623,18 @@ func (s *Scheduler) checkPlanAgainstScratch() error {
 
 // rebuildPlan recomputes the planned start and completion of every waiting
 // job, according to the local policy, on top of the incrementally maintained
-// running-jobs profile. The waiting slice is kept in submission (seq) order
-// by construction, so planning needs no sort. The plan is rebuilt in place
-// in the cluster's single plan buffer, so steady-state re-planning allocates
-// nothing.
+// running-jobs profile, and marks the plan clean. The waiting slice is kept
+// in submission (seq) order by construction, so planning needs no sort. The
+// plan is rebuilt in place in the cluster's plan buffer, or in its spare
+// under a bounded FCFS plan, so steady-state re-planning allocates nothing.
+//
+// A bounded re-plan (see planBounded) stops early. Its changes only free
+// cores, so no job starts later than before, and each job that moves
+// raises changedUntil to the end of its old window. At the first job i that keeps its old
+// start s_i with changedUntil <= s_i, every changed window has ended by s_i,
+// so from s_i on the new profile equals the old planProf, and every later
+// job, whose search starts at s_i, keeps its window too. The old profile
+// from s_i on is then spliced into the new one, which replaces it.
 func (s *Scheduler) rebuildPlan() {
 	s.planRebuilds++
 	s.ensureRunProfile()
@@ -1680,7 +1644,11 @@ func (s *Scheduler) rebuildPlan() {
 				s.spec.Name, s.now, s.runProf.times, s.runProf.free, fresh.times, fresh.free))
 		}
 	}
+	bounded := s.planBounded
 	prof := s.planProf
+	if bounded {
+		prof = s.planSpare
+	}
 	prof.copyFrom(s.runProf)
 	// Planning k jobs inserts at most 2k breakpoints; growing once up front
 	// replaces the log-many append doublings mid-plan.
@@ -1691,8 +1659,26 @@ func (s *Scheduler) rebuildPlan() {
 	prevStart := s.now
 	next := noNextStart
 	cursor := 0
+	changedUntil := s.changedUntil
+	spliced := false
 	for _, e := range s.waiting {
-		start, end, cur, err := s.placeEntry(prof, e, prevStart, cursor)
+		start, seg := s.slotFor(prof, e, prevStart, cursor)
+		if bounded {
+			if start != e.plannedStart {
+				// The new end matters only for a job that moves later, which
+				// takes a caller that moved the clock past a start without
+				// advancing the cluster.
+				changedUntil = max(changedUntil, e.plannedEnd, start+e.wall)
+			} else if changedUntil <= start {
+				prof.spliceFrom(s.planProf, start)
+				next = min(next, start)
+				prevStart = s.waiting[len(s.waiting)-1].plannedStart
+				spliced = true
+				break
+			}
+		}
+		end := start + e.wall
+		cur, err := prof.reserveAtHint(start, end, e.job.Procs, seg)
 		if err != nil {
 			panic(fmt.Sprintf("batch: plan reservation failed on %s: %v", s.spec.Name, err))
 		}
@@ -1708,14 +1694,29 @@ func (s *Scheduler) rebuildPlan() {
 			cursor = cur
 		}
 	}
+	if bounded {
+		s.planProf, s.planSpare = prof, s.planProf
+	}
 	// Keep the combined running+planned profile for cheap completion-time
 	// estimates; prevStart is the latest planned start (or now when the
 	// queue is empty), which is exactly the FCFS lower bound for a
-	// hypothetical extra job. Planning visited every waiting job, so the
-	// earliest planned start falls out of the same loop.
+	// hypothetical extra job. Planning visited every waiting job, or the
+	// splice kept the rest in order, so the earliest planned start falls out
+	// of the same loop.
 	s.maxPlannedStart = prevStart
 	s.nextStart = next
 	s.planVersion++
+	s.planDirty = false
+	s.planBounded = s.policy == FCFS
+	s.changedUntil = math.MinInt64
+	if spliced {
+		s.planSplices++
+		if s.debugCheck {
+			if err := s.checkPlanAgainstScratch(); err != nil {
+				panic(fmt.Sprintf("batch: spliced plan diverged from a rebuild: %v", err))
+			}
+		}
+	}
 }
 
 // Snapshot describes the instantaneous state of the cluster, used by the

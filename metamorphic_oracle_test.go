@@ -3,6 +3,7 @@ package gridrealloc_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gridrealloc/internal/core"
@@ -115,4 +116,91 @@ func runConfigs(t *testing.T, cfgs []scenario.Config) []*core.Result {
 		t.Fatal(err)
 	}
 	return results
+}
+
+// TestSubmissionShiftShiftsEverything is a metamorphic oracle of time
+// invariance: shifting every submission by a multiple of the reallocation
+// period, with no capacity windows, shifts every start and completion by
+// the same amount and changes nothing else. The reallocation clock starts
+// one period after the first submission, so the shifted run sees the same
+// passes at the same relative instants; nothing in the model reads absolute
+// time. It covers both algorithms under MCT and MinMin and the baseline, on
+// jan, apr and pwa-g5k, both platforms, FCFS and CBF.
+func TestSubmissionShiftShiftsEverything(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 360 simulations")
+	}
+	const shift = 5 * core.DefaultReallocationPeriod
+	type run struct {
+		alg, heur string
+	}
+	runs := []run{{"none", ""}}
+	for _, alg := range []string{"realloc", "realloc-cancel"} {
+		for _, h := range []string{"Mct", "MinMin"} {
+			runs = append(runs, run{alg, h})
+		}
+	}
+	var cfgs []scenario.Config
+	for _, sc := range []string{"jan", "apr", "pwa-g5k"} {
+		for seed := uint64(42); seed <= 44; seed++ {
+			trace, err := workload.Scenario(workload.ScenarioName(sc), 0.05, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shifted := &workload.Trace{Name: trace.Name, Jobs: slices.Clone(trace.Jobs)}
+			for i := range shifted.Jobs {
+				shifted.Jobs[i].Submit += shift
+			}
+			for _, het := range []string{"homogeneous", "heterogeneous"} {
+				for _, policy := range []string{"FCFS", "CBF"} {
+					for _, r := range runs {
+						for _, tr := range []*workload.Trace{trace, shifted} {
+							cfgs = append(cfgs, scenario.Config{
+								Scenario:      sc,
+								Heterogeneity: het,
+								Policy:        policy,
+								Trace:         tr,
+								Seed:          seed,
+								Algorithm:     r.alg,
+								Heuristic:     r.heur,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	results := runConfigs(t, cfgs)
+	var moves int64
+	for i := 0; i < len(cfgs); i += 2 {
+		cfg, base, res := cfgs[i], results[i], results[i+1]
+		moves += base.TotalReallocations
+		name := fmt.Sprintf("%s seed %d %s %s %s/%s", cfg.Scenario, cfg.Seed,
+			cfg.Heterogeneity, cfg.Policy, cfg.Algorithm, cfg.Heuristic)
+		if res.TotalReallocations != base.TotalReallocations {
+			t.Errorf("%s: %d moves shifted, %d unshifted", name, res.TotalReallocations, base.TotalReallocations)
+		}
+		want, got := base.SortedRecords(), res.SortedRecords()
+		if len(got) != len(want) {
+			t.Errorf("%s: %d records shifted, %d unshifted", name, len(got), len(want))
+			continue
+		}
+		for n, r := range got {
+			w := *want[n]
+			w.Submit += shift
+			if w.Start >= 0 {
+				w.Start += shift
+			}
+			if w.Completion >= 0 {
+				w.Completion += shift
+			}
+			if *r != w {
+				t.Errorf("%s: job %d ran %+v shifted, want %+v", name, r.JobID, *r, w)
+				break
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no run moved a job; the shift leaves the reallocation mechanism untested")
+	}
 }
